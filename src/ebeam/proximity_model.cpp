@@ -1,8 +1,12 @@
 #include "ebeam/proximity_model.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <compare>
+#include <map>
+#include <mutex>
 
 namespace mbf {
 
@@ -116,7 +120,57 @@ double ProximityModel::cornerErosionDepth() const {
   return t * std::sqrt(2.0);  // diagonal distance from corner to contour
 }
 
+namespace {
+
+// Memo key: the exact bit patterns of every input computeLthUncached
+// reads. Bits, not values: keys one ulp apart may derive different Lth
+// and must never be merged, and a NaN field would break the strict weak
+// ordering a map of doubles needs.
+struct LthKey {
+  std::uint64_t sigma, rho, eta, sigmaBack, gamma;
+  auto operator<=>(const LthKey&) const = default;
+};
+
+struct LthMemo {
+  std::mutex mutex;
+  // Both guarded by `mutex`.
+  std::map<LthKey, double> values;  // never evicted; see DESIGN.md sec. 20
+  std::uint64_t derivations = 0;
+};
+
+LthMemo& lthMemo() {
+  static LthMemo memo;
+  return memo;
+}
+
+}  // namespace
+
 double ProximityModel::computeLth(double gamma) const {
+  const LthKey key{std::bit_cast<std::uint64_t>(sigma_),
+                   std::bit_cast<std::uint64_t>(rho_),
+                   std::bit_cast<std::uint64_t>(eta_),
+                   std::bit_cast<std::uint64_t>(sigmaBack_),
+                   std::bit_cast<std::uint64_t>(gamma)};
+  LthMemo& memo = lthMemo();
+  // The lock is held across the derivation, so concurrent first callers
+  // of one key wait for a single derivation instead of racing to repeat
+  // it.
+  const std::lock_guard<std::mutex> lock(memo.mutex);
+  const auto it = memo.values.find(key);
+  if (it != memo.values.end()) return it->second;
+  const double lth = computeLthUncached(gamma);
+  memo.values.emplace(key, lth);
+  ++memo.derivations;
+  return lth;
+}
+
+std::uint64_t ProximityModel::lthDerivations() {
+  LthMemo& memo = lthMemo();
+  const std::lock_guard<std::mutex> lock(memo.mutex);
+  return memo.derivations;
+}
+
+double ProximityModel::computeLthUncached(double gamma) const {
   // Work in coordinates rotated 45 degrees: u along the candidate segment,
   // v perpendicular. The corner contour is symmetric in u; v(u) peaks at
   // u = 0 and falls off toward the edges. The best-positioned 45-degree

@@ -29,6 +29,7 @@
 // F is tabulated once per model ("lookup table based method", paper 4.1).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "geometry/rect.h"
@@ -74,8 +75,22 @@ class ProximityModel {
   double shotIntensity(const Rect& s, double x, double y) const;
 
   /// Longest 45-degree boundary segment a single shot corner can print
-  /// within CD tolerance `gamma` (paper figure 2). Computed numerically.
+  /// within CD tolerance `gamma` (paper figure 2). Memoized for the whole
+  /// process: the first call for a given (sigma, rho, eta, resolved
+  /// backscatterSigma, gamma), compared by exact bit pattern, runs
+  /// computeLthUncached under a lock; every later call returns the stored
+  /// bits. Thread-safe; each key is derived exactly once (DESIGN.md
+  /// section 20).
   double computeLth(double gamma) const;
+
+  /// The numerical routine behind computeLth: the corner contour sampled
+  /// every 0.02 nm, each sample by an 80-step exact-erf bisection (about
+  /// 4.5 ms). Pure; the reference the memo is tested against.
+  double computeLthUncached(double gamma) const;
+
+  /// Uncached derivations computeLth has performed in this process (memo
+  /// misses). Monotone; one per distinct model key.
+  static std::uint64_t lthDerivations();
 
   /// Depth (nm) by which the printed contour erodes a convex shot corner
   /// along the diagonal (distance from corner to contour along x = y).

@@ -77,6 +77,8 @@ struct FractureParams {
   }
 
   /// Lth actually used: the explicit override, or the model-derived value.
+  /// The derivation is memoized per model in the ebeam layer, so every
+  /// Problem of a run after the first gets it without recomputing.
   double resolvedLth(const ProximityModel& model) const {
     return lth > 0.0 ? lth : model.computeLth(gamma);
   }

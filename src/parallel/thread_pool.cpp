@@ -135,11 +135,11 @@ ThreadPool& ThreadPool::global() {
 }
 
 int ThreadPool::resolveThreads(int requested) {
-  if (requested <= 0) {
+  if (requested == 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
   }
-  return requested;
+  return std::max(requested, 1);
 }
 
 }  // namespace mbf

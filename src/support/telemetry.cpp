@@ -607,8 +607,10 @@ Status readSpanFile(const std::string& path, std::vector<TraceSpan>& out) {
 
 namespace {
 
-void writePerfCounters(JsonWriter& w, const PerfCounters& perf) {
+void writePerfCounters(JsonWriter& w, const PerfCounters& perf,
+                       std::uint64_t lthDerivations) {
   w.beginObject();
+  w.key("lth_derivations").value(lthDerivations);
   w.key("candidate_evals").value(perf.candidateEvals);
   w.key("candidate_cache_hits").value(perf.candidateCacheHits);
   w.key("profile_evals").value(perf.profileEvals);
@@ -725,7 +727,7 @@ std::string buildRunManifest(const RunManifestInfo& info,
   w.endObject();
 
   w.key("perf");
-  writePerfCounters(w, rs.perf);
+  writePerfCounters(w, rs.perf, info.lthDerivations);
 
   w.key("shot_stats").beginObject();
   w.key("count").value(shotStats.count);

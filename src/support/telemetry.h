@@ -293,6 +293,11 @@ struct RunManifestInfo {
   /// Original indices of shapes re-fractured by the --selfcheck repair
   /// ladder after failing the inline audit.
   std::vector<int> repairedShapes;
+  /// Uncached Lth derivations in this process
+  /// (ProximityModel::lthDerivations()): one per distinct model the run
+  /// fractured with. `--isolate` workers derive in their own processes
+  /// and are not counted here. Written as perf.lth_derivations.
+  std::uint64_t lthDerivations = 0;
   /// --order was active: shot order in the artifact is post-processed,
   /// so audited costs are not bitwise comparable to the claims.
   bool ordered = false;

@@ -2,8 +2,11 @@
 // intensity, intensity map incrementality, corner rounding and Lth.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <random>
+#include <utility>
 
 #include "ebeam/corner_rounding.h"
 #include "ebeam/intensity_map.h"
@@ -220,6 +223,67 @@ TEST(CornerRoundingTest, SweepsAreMonotone) {
   for (std::size_t i = 1; i < bySigma.size(); ++i) {
     EXPECT_GE(bySigma[i].lth, bySigma[i - 1].lth - 1e-9);
   }
+}
+
+// --- Lth memo ----------------------------------------------------------
+
+std::uint64_t bitsOf(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+TEST(LthMemoTest, MatchesUncachedBitForBit) {
+  for (const double sigma : {6.25, 10.0}) {
+    for (const double rho : {0.5, 0.4}) {
+      for (const auto& [eta, sigmaBack] :
+           {std::pair{0.0, 0.0}, std::pair{0.2, 18.75}}) {
+        for (const double gamma : {1.0, 2.0, 3.0}) {
+          const ProximityModel m(sigma, rho, eta, sigmaBack);
+          const std::uint64_t reference = bitsOf(m.computeLthUncached(gamma));
+          EXPECT_EQ(bitsOf(m.computeLth(gamma)), reference)
+              << sigma << " " << rho << " " << eta << " " << gamma;
+          EXPECT_EQ(bitsOf(m.computeLth(gamma)), reference) << "second call";
+        }
+      }
+    }
+  }
+}
+
+TEST(LthMemoTest, KeysDifferingInOneFieldNeverShareAnEntry) {
+  // A base key no other test uses, and five keys one ulp away from it in
+  // exactly one field each: a tolerance-based key would merge them.
+  const double sigma = 7.1, rho = 0.47, eta = 0.15, sigmaBack = 21.3;
+  const double gamma = 1.7;
+  auto up = [](double v) { return std::nextafter(v, 1e9); };
+  struct Variant {
+    ProximityModel model;
+    double gamma;
+  };
+  const std::vector<Variant> variants = {
+      {ProximityModel(sigma, rho, eta, sigmaBack), gamma},
+      {ProximityModel(up(sigma), rho, eta, sigmaBack), gamma},
+      {ProximityModel(sigma, up(rho), eta, sigmaBack), gamma},
+      {ProximityModel(sigma, rho, up(eta), sigmaBack), gamma},
+      {ProximityModel(sigma, rho, eta, up(sigmaBack)), gamma},
+      {ProximityModel(sigma, rho, eta, sigmaBack), up(gamma)},
+  };
+  for (std::size_t i = 0; i < variants.size(); ++i) {
+    const Variant& v = variants[i];
+    const std::uint64_t before = ProximityModel::lthDerivations();
+    const double first = v.model.computeLth(v.gamma);
+    EXPECT_EQ(ProximityModel::lthDerivations(), before + 1) << "variant " << i;
+    EXPECT_EQ(bitsOf(v.model.computeLth(v.gamma)), bitsOf(first));
+    EXPECT_EQ(ProximityModel::lthDerivations(), before + 1) << "variant " << i;
+    EXPECT_EQ(bitsOf(first), bitsOf(v.model.computeLthUncached(v.gamma)));
+  }
+}
+
+TEST(LthMemoTest, KeyUsesResolvedBackscatterSigma) {
+  // backscatterSigma <= 0 resolves to sigma, so both models are one key.
+  const ProximityModel implicit(5.3, 0.5, 0.0, 0.0);
+  const ProximityModel explicitSame(5.3, 0.5, 0.0, 5.3);
+  const std::uint64_t before = ProximityModel::lthDerivations();
+  const double a = implicit.computeLth(2.3);
+  const double b = explicitSame.computeLth(2.3);
+  EXPECT_EQ(bitsOf(a), bitsOf(b));
+  EXPECT_EQ(ProximityModel::lthDerivations(), before + 1);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 // multi-threaded batch fracturing.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+
 #include "benchgen/ilt_synth.h"
 #include "mdp/layout.h"
 
@@ -106,6 +109,31 @@ TEST(BatchTest, ThreadCountDoesNotChangeResults) {
     EXPECT_EQ(a.solutions[i].shots, b.solutions[i].shots) << i;
   }
   EXPECT_EQ(a.totalShots, b.totalShots);
+}
+
+TEST(BatchTest, OneLthDerivationPerRun) {
+  // Each run uses a gamma no other test uses, so its first shape derives
+  // Lth and the other two reuse it, at any thread count.
+  std::vector<LayoutShape> shapes;
+  for (int i = 0; i < 3; ++i) {
+    LayoutShape s;
+    s.rings.push_back(square(40 + 4 * i, {i * 100, 0}));
+    shapes.push_back(s);
+  }
+  for (const auto& [threads, gamma] :
+       {std::pair{1, 2.0625}, std::pair{4, 2.1875}}) {
+    BatchConfig config;
+    config.threads = threads;
+    config.params.gamma = gamma;
+    const std::uint64_t before = ProximityModel::lthDerivations();
+    const BatchResult result = fractureLayout(shapes, config);
+    EXPECT_EQ(result.solutions.size(), 3u);
+    EXPECT_EQ(ProximityModel::lthDerivations(), before + 1)
+        << threads << " thread(s)";
+    fractureLayout(shapes, config);  // same model: no new derivation
+    EXPECT_EQ(ProximityModel::lthDerivations(), before + 1)
+        << threads << " thread(s), repeated";
+  }
 }
 
 TEST(BatchTest, MethodSelectionAffectsAllShapes) {

@@ -6,7 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cstdint>
+#include <latch>
 #include <memory>
 #include <random>
 #include <thread>
@@ -14,6 +17,7 @@
 
 #include "benchgen/opc_synth.h"
 #include "ebeam/intensity_map.h"
+#include "ebeam/proximity_model.h"
 #include "fracture/problem.h"
 #include "fracture/verifier.h"
 #include "mdp/layout.h"
@@ -281,6 +285,34 @@ TEST(ParallelLayoutTest, FractureLayoutParallelIsByteIdentical) {
       EXPECT_EQ(a.failOff, b.failOff);
       EXPECT_EQ(a.cost, b.cost);
     }
+  }
+}
+
+// --- Lth memo -----------------------------------------------------------
+
+TEST(LthMemoConcurrencyTest, SimultaneousFirstCallsDeriveOnce) {
+  // Eight threads ask for a key nothing else uses at the same moment;
+  // the memo must derive it once and hand every thread the same bits.
+  constexpr int kThreads = 8;
+  const ProximityModel model(8.125, 0.5, 0.0, 0.0);
+  const double gamma = 2.75;
+  const std::uint64_t before = ProximityModel::lthDerivations();
+  std::vector<std::uint64_t> bits(kThreads, 0);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      bits[static_cast<std::size_t>(t)] =
+          std::bit_cast<std::uint64_t>(model.computeLth(gamma));
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(ProximityModel::lthDerivations(), before + 1);
+  const std::uint64_t reference =
+      std::bit_cast<std::uint64_t>(model.computeLthUncached(gamma));
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(bits[static_cast<std::size_t>(t)], reference) << "thread " << t;
   }
 }
 

@@ -2,6 +2,8 @@
 // of shapes, seeds and parameters.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "benchgen/ilt_synth.h"
 #include "benchgen/known_opt_gen.h"
 #include "fracture/model_based_fracturer.h"
@@ -38,11 +40,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ContourRoundTrip,
 
 // ---------------------------------------------------------------------
 // Known-optimal generator: the generator shots are always feasible.
+// gtest prints this struct byte by byte into the discovered test name, so
+// it must have no padding: uninitialised padding bytes would give the same
+// case a different name on every discovery.
 struct KnownOptCase {
   std::uint32_t seed;
   int k;
-  bool abutting;
+  int abutting;  // 0 or 1; an int, not a bool, so the struct has no padding.
 };
+static_assert(std::has_unique_object_representations_v<KnownOptCase>);
 
 class KnownOptFeasibility : public ::testing::TestWithParam<KnownOptCase> {};
 
@@ -52,7 +58,7 @@ TEST_P(KnownOptFeasibility, GeneratorShotsAreFeasible) {
   KnownOptConfig cfg;
   cfg.seed = c.seed;
   cfg.numShots = c.k;
-  cfg.abutting = c.abutting;
+  cfg.abutting = c.abutting != 0;
   const KnownOptShape shape = makeKnownOptShape(cfg, model);
   Problem problem(shape.target, FractureParams{});
   const Violations v = evaluateShots(problem, shape.generatorShots);

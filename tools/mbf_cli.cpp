@@ -153,6 +153,7 @@
 #include "analysis/shot_stats.h"
 #include "audit/independent_checker.h"
 #include "audit/verify_run.h"
+#include "ebeam/proximity_model.h"
 #include "io/atomic_file.h"
 #include "io/gdsii.h"
 #include "io/poly_io.h"
@@ -1012,7 +1013,9 @@ int main(int argc, char** argv) {
                     Table::fmt(sol.runtimeSeconds, 2), status});
     }
     table.print(std::cout);
-    std::cout << "perf: " << summarize(result.refinerStats.perf) << "\n";
+    std::cout << "perf: " << summarize(result.refinerStats.perf)
+              << ", lth derivations " << ProximityModel::lthDerivations()
+              << "\n";
     if (result.degradedShapes > 0) {
       std::cout << "degraded shapes (" << result.degradedShapes << "):\n";
       for (std::size_t i = 0; i < result.reports.size(); ++i) {
@@ -1145,6 +1148,7 @@ int main(int argc, char** argv) {
     info.interrupted = interrupted;
     info.abortCause = abortCause;
     info.repairedShapes = repairedShapes;
+    info.lthDerivations = ProximityModel::lthDerivations();
     info.ordered = orderForWriter;
     info.hier = hierInfo;
     const std::string manifest = buildRunManifest(
