@@ -6,7 +6,8 @@
 //
 // Emits one JSON document (stdout and --out, default BENCH_refiner.json)
 // with, per suite (opc + ilt):
-//   - end-to-end fractures at 1/4/8 threads: wall time, shots/sec,
+//   - end-to-end fractures with the shapes spread over 1/4/8 threads
+//     (each shape serial): wall time, shots/sec,
 //     candidate-evals/sec and the hot-path counters, with the shot lists
 //     checked byte-identical across thread counts;
 //   - a candidate-evaluation microbench run *in the same process*: the
@@ -252,7 +253,6 @@ SuiteResult runSuite(const std::string& name,
     const int threads = threadSweep[k];
     BatchConfig config;
     config.threads = threads;
-    config.params.numThreads = threads;
     const BatchResult result = fractureLayoutParallel(shapes, config);
 
     SweepPoint point;

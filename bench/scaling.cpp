@@ -51,7 +51,6 @@ int runThreadSweep() {
   for (const int threads : {1, 2, 4, 8}) {
     BatchConfig config;
     config.threads = threads;
-    config.params.numThreads = threads;
     const BatchResult result = fractureLayoutParallel(shapes, config);
     const bool identical = threads == 1 || sameShots(result, serial);
     if (threads == 1) {

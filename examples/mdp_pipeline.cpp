@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
     std::cerr << "GDSII round trip failed\n";
     return 1;
   }
-  const std::vector<GdsPolygon> polys = flattenGds(lib);
-  if (polys.empty()) {
+  std::vector<GdsPolygon> polys;
+  if (!flattenGdsChecked(lib, "", polys).ok() || polys.empty()) {
     std::cerr << "GDSII round trip lost the polygon\n";
     return 1;
   }

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "parallel/parallel_for.h"
-#include "parallel/thread_pool.h"
 
 namespace mbf {
 namespace {
@@ -269,14 +268,12 @@ AuditReport auditShotSections(const std::vector<LayoutShape>& shapes,
   // hooks — it re-derives grids with the result-relevant model
   // parameters only.
   FractureParams auditParams = params;
-  auditParams.numThreads = 1;
   auditParams.shapeTimeBudgetMs = 0.0;
   auditParams.maxGridBytes = 0;
   auditParams.faultInjector = nullptr;
 
   std::vector<std::vector<std::string>> findings(n);
-  const int resolved = ThreadPool::resolveThreads(threads);
-  parallelFor(0, static_cast<int>(n), resolved, 1, [&](int idx) {
+  parallelFor(0, static_cast<int>(n), threads, 1, [&](int idx) {
     const auto i = static_cast<std::size_t>(idx);
     std::vector<std::string>& out = findings[i];
     const ShotSection& section = sections[i];

@@ -64,8 +64,7 @@ struct DenseViolations {
 /// classifies the row against rho and folds the per-row partials in row
 /// order. Shares no code with Verifier/IntensityMap but reproduces
 /// their accumulation order exactly, so the result is bitwise equal to
-/// Verifier::setShots + violations() at any thread count (pinned by
-/// tests/audit_test.cpp).
+/// Verifier::setShots + violations() (pinned by tests/audit_test.cpp).
 DenseViolations denseViolations(const Problem& problem,
                                 std::span<const Rect> shots);
 

@@ -5,33 +5,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "parallel/parallel_for.h"
-
 namespace mbf {
-namespace {
-
-// 1D edge profiles of one shot over its influence window. Shared by the
-// incremental applyShot and the bulk setShots paths so both round
-// identically (the determinism tests compare their grids bit for bit).
-void computeProfiles(const ProximityModel& model, Point origin,
-                     const Rect& shot, const Rect& w, double sign,
-                     std::vector<double>& ax, std::vector<double>& by) {
-  ax.resize(static_cast<std::size_t>(w.width()));
-  by.resize(static_cast<std::size_t>(w.height()));
-  for (int x = w.x0; x < w.x1; ++x) {
-    const double px = origin.x + x + 0.5;
-    ax[static_cast<std::size_t>(x - w.x0)] =
-        sign *
-        (model.edgeProfile(shot.x1 - px) - model.edgeProfile(shot.x0 - px));
-  }
-  for (int y = w.y0; y < w.y1; ++y) {
-    const double py = origin.y + y + 0.5;
-    by[static_cast<std::size_t>(y - w.y0)] =
-        model.edgeProfile(shot.y1 - py) - model.edgeProfile(shot.y0 - py);
-  }
-}
-
-}  // namespace
 
 IntensityMap::IntensityMap(const ProximityModel& model, Point origin,
                            int width, int height)
@@ -60,7 +34,19 @@ void IntensityMap::applyShot(const Rect& shot, double sign) {
   std::vector<double> by;
   {
     const PerfTimer timer(perf_, &PerfCounters::profileNanos);
-    computeProfiles(*model_, origin_, shot, w, sign, ax, by);
+    ax.resize(static_cast<std::size_t>(w.width()));
+    by.resize(static_cast<std::size_t>(w.height()));
+    for (int x = w.x0; x < w.x1; ++x) {
+      const double px = origin_.x + x + 0.5;
+      ax[static_cast<std::size_t>(x - w.x0)] =
+          sign * (model_->edgeProfile(shot.x1 - px) -
+                  model_->edgeProfile(shot.x0 - px));
+    }
+    for (int y = w.y0; y < w.y1; ++y) {
+      const double py = origin_.y + y + 0.5;
+      by[static_cast<std::size_t>(y - w.y0)] =
+          model_->edgeProfile(shot.y1 - py) - model_->edgeProfile(shot.y0 - py);
+    }
     if (perf_ != nullptr) {
       // 2 scalar edgeProfile evaluations per profile entry.
       perf_->profileEvals +=
@@ -77,74 +63,12 @@ void IntensityMap::applyShot(const Rect& shot, double sign) {
 }
 
 void IntensityMap::setShots(std::span<const Rect> shots,
-                            std::span<const double> doses, int numThreads) {
+                            std::span<const double> doses) {
   assert(doses.empty() || doses.size() == shots.size());
   clear();
-  const auto doseOf = [&doses](std::size_t i) {
-    return doses.empty() ? 1.0 : doses[i];
-  };
-  const int threads = ThreadPool::resolveThreads(numThreads);
-  if (threads <= 1 || shots.size() < 2 || grid_.height() < 2) {
-    for (std::size_t i = 0; i < shots.size(); ++i) {
-      applyShot(shots[i], +doseOf(i));
-    }
-    return;
+  for (std::size_t i = 0; i < shots.size(); ++i) {
+    applyShot(shots[i], doses.empty() ? 1.0 : doses[i]);
   }
-
-  // Stage 1: per-shot windows and 1D profiles, independent across shots.
-  // The dose folds into the x-profile exactly like applyShot's sign does,
-  // so the bulk and sequential paths round identically. Profile-eval
-  // accounting happens after the join (a shared sink must not be written
-  // from inside the parallelFor).
-  struct ShotProfile {
-    Rect window;
-    std::vector<double> ax;
-    std::vector<double> by;
-  };
-  std::vector<ShotProfile> profiles(shots.size());
-  {
-    const PerfTimer timer(perf_, &PerfCounters::profileNanos);
-    parallelFor(0, static_cast<int>(shots.size()), threads, 1, [&](int i) {
-      ShotProfile& p = profiles[static_cast<std::size_t>(i)];
-      p.window = influenceWindow(shots[static_cast<std::size_t>(i)]);
-      if (p.window.empty()) return;
-      computeProfiles(*model_, origin_, shots[static_cast<std::size_t>(i)],
-                      p.window, +doseOf(static_cast<std::size_t>(i)), p.ax,
-                      p.by);
-    });
-  }
-  if (perf_ != nullptr) {
-    for (const ShotProfile& p : profiles) {
-      if (p.window.empty()) continue;
-      perf_->profileEvals += 2 * static_cast<std::uint64_t>(
-                                     p.window.width() + p.window.height());
-    }
-  }
-
-  // Stage 2: row-parallel outer products. Every grid row is owned by one
-  // task, and the per-row shot lists are built in input order, so each
-  // pixel receives its contributions in exactly the order the serial
-  // addShot loop would apply them.
-  std::vector<std::vector<std::uint32_t>> rowShots(
-      static_cast<std::size_t>(grid_.height()));
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    const Rect& w = profiles[i].window;
-    for (int y = w.y0; y < w.y1; ++y) {
-      rowShots[static_cast<std::size_t>(y)].push_back(
-          static_cast<std::uint32_t>(i));
-    }
-  }
-  parallelFor(0, grid_.height(), threads, 8, [&](int y) {
-    double* row = grid_.row(y);
-    for (const std::uint32_t idx : rowShots[static_cast<std::size_t>(y)]) {
-      const ShotProfile& p = profiles[idx];
-      const Rect& w = p.window;
-      const double b = p.by[static_cast<std::size_t>(y - w.y0)];
-      for (int x = w.x0; x < w.x1; ++x) {
-        row[x] += p.ax[static_cast<std::size_t>(x - w.x0)] * b;
-      }
-    }
-  });
 }
 
 }  // namespace mbf

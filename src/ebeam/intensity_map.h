@@ -47,21 +47,13 @@ class IntensityMap {
     applyShot(shot, -dose);
   }
 
-  /// Clears the grid and applies `shots` in one bulk pass, row-parallel
-  /// across `numThreads` workers (0 = hardware concurrency, 1 = serial).
-  /// Each grid row accumulates its shots in input order, so the result is
-  /// byte-identical to sequential addShot calls for any thread count.
-  void setShots(std::span<const Rect> shots, int numThreads = 1) {
-    setShots(shots, {}, numThreads);
-  }
-
-  /// Dose-aware bulk application: shot `i` contributes with multiplier
-  /// `doses[i]` (the variable-dose extension's path onto the row-parallel
-  /// engine). An empty `doses` span means unit dose for every shot;
-  /// otherwise doses.size() must equal shots.size(). Byte-identical to a
-  /// sequential addShot(shots[i], doses[i]) loop for any thread count.
-  void setShots(std::span<const Rect> shots, std::span<const double> doses,
-                int numThreads);
+  /// Clears the grid and applies `shots` in input order, exactly like a
+  /// sequential addShot loop. Shot `i` contributes with multiplier
+  /// `doses[i]` (the variable-dose extension); an empty `doses` span
+  /// means unit dose for every shot, otherwise doses.size() must equal
+  /// shots.size().
+  void setShots(std::span<const Rect> shots,
+                std::span<const double> doses = {});
 
   /// Grid-local pixel window affected by `shot` (shot bbox inflated by the
   /// influence radius, clamped to the grid). Cell range [x0,x1) x [y0,y1).

@@ -35,8 +35,8 @@ DoseVerifier::DoseVerifier(const Problem& problem)
 
 void DoseVerifier::setShots(std::span<const DosedShot> shots) {
   shots_.assign(shots.begin(), shots.end());
-  // Bulk rebuild through the dose-aware row-parallel path; byte-identical
-  // to the sequential addShot(rect, dose) loop for any thread count.
+  // Bulk rebuild through the dose-aware path; byte-identical to the
+  // sequential addShot(rect, dose) loop.
   std::vector<Rect> rects;
   std::vector<double> doses;
   rects.reserve(shots_.size());
@@ -45,7 +45,7 @@ void DoseVerifier::setShots(std::span<const DosedShot> shots) {
     rects.push_back(s.rect);
     doses.push_back(s.dose);
   }
-  map_.setShots(rects, doses, problem_->params().numThreads);
+  map_.setShots(rects, doses);
 }
 
 void DoseVerifier::addShot(const DosedShot& shot) {

@@ -49,13 +49,6 @@ struct FractureParams {
   bool enableAddRemove = true;
   bool enableMerge = true;
 
-  // --- execution (src/parallel) ---
-  /// Worker threads for the in-problem scans (Verifier violation scans,
-  /// IntensityMap bulk application): 0 = hardware concurrency, 1 = the
-  /// serial path. Results are byte-identical for every value; see
-  /// DESIGN.md "Parallel architecture".
-  int numThreads = 1;
-
   // --- robustness budgets (DESIGN.md "Failure model") -------------------
   /// Wall-clock budget per shape, milliseconds; 0 = unlimited. Enforced
   /// cooperatively at stage boundaries (Refiner iterations, merge passes,

@@ -6,7 +6,6 @@
 #include <cmath>
 #include <vector>
 
-#include "parallel/parallel_for.h"
 #include "support/telemetry.h"
 
 namespace mbf {
@@ -37,7 +36,7 @@ Verifier::Verifier(const Problem& problem)
 void Verifier::setShots(std::span<const Rect> shots) {
   TraceScope traceSetShots("verify-set-shots");
   shots_.assign(shots.begin(), shots.end());
-  map_.setShots(shots_, problem_->params().numThreads);
+  map_.setShots(shots_);
   ++generation_;
   dirtyLo_ = 0;
   dirtyHi_ = problem_->gridHeight();
@@ -125,19 +124,10 @@ void Verifier::refreshLedgerRows(int y0, int y1) const {
   const PerfTimer timer(&perf_, &PerfCounters::ledgerNanos);
   const int width = problem_->gridWidth();
   const int rows = y1 - y0;
-  const int threads = ThreadPool::resolveThreads(problem_->params().numThreads);
-  const std::int64_t cells = static_cast<std::int64_t>(rows) * width;
   // Each row partial is computed by the identical full-row scan a fresh
-  // violation scan performs, and rows are independent, so the parallel
-  // refresh is bitwise-deterministic for any thread count.
-  if (threads <= 1 || rows < 2 || cells < 4096) {
-    for (int y = y0; y < y1; ++y) {
-      rowViol_[static_cast<std::size_t>(y)] = violationsRow(y, 0, width);
-    }
-  } else {
-    parallelFor(y0, y1, threads, 16, [&](int y) {
-      rowViol_[static_cast<std::size_t>(y)] = violationsRow(y, 0, width);
-    });
+  // violation scan performs, so the ledger folds bitwise equal to it.
+  for (int y = y0; y < y1; ++y) {
+    rowViol_[static_cast<std::size_t>(y)] = violationsRow(y, 0, width);
   }
   perf_.ledgerRowUpdates += static_cast<std::uint64_t>(rows);
   totalValid_ = false;
@@ -147,7 +137,7 @@ Violations Verifier::violations() const {
   ensureLedgerFresh();
   if (!totalValid_) {
     // Fold the row partials in row order: the exact addition sequence a
-    // fresh serial (or row-parallel) scan performs, hence bitwise equal.
+    // fresh scan performs, hence bitwise equal.
     Violations v;
     for (const Violations& p : rowViol_) v += p;
     total_ = v;
@@ -199,26 +189,12 @@ Violations Verifier::violationsRow(int y, int x0, int x1) const {
 Violations Verifier::violationsInWindow(const Rect& gridWindow) const {
   problem_->checkpoint("verify");
   ++perf_.windowScans;
-  // Per-row partials folded in row order: the serial and row-parallel
-  // paths perform the identical sequence of double additions, so the
-  // reported cost is byte-identical for every thread count.
+  // Per-row partials folded in row order: the same sequence of double
+  // additions the ledger fold performs, hence bitwise equal to it.
   Violations v;
-  const int rows = gridWindow.y1 - gridWindow.y0;
-  const int threads = ThreadPool::resolveThreads(problem_->params().numThreads);
-  const std::int64_t cells =
-      static_cast<std::int64_t>(rows) * (gridWindow.x1 - gridWindow.x0);
-  if (threads <= 1 || rows < 2 || cells < 4096) {
-    for (int y = gridWindow.y0; y < gridWindow.y1; ++y) {
-      v += violationsRow(y, gridWindow.x0, gridWindow.x1);
-    }
-    return v;
+  for (int y = gridWindow.y0; y < gridWindow.y1; ++y) {
+    v += violationsRow(y, gridWindow.x0, gridWindow.x1);
   }
-  std::vector<Violations> partials(static_cast<std::size_t>(rows));
-  parallelFor(gridWindow.y0, gridWindow.y1, threads, 16, [&](int y) {
-    partials[static_cast<std::size_t>(y - gridWindow.y0)] =
-        violationsRow(y, gridWindow.x0, gridWindow.x1);
-  });
-  for (const Violations& p : partials) v += p;
   return v;
 }
 

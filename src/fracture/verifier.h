@@ -9,10 +9,10 @@
 // refreshes the dirty band once (so a bias pass over every shot costs
 // one refresh, not one per shot) and folds the partials in row order
 // into a cached total. Each row partial is recomputed by the same
-// per-row scan a fresh full-grid scan uses, and fresh scans (serial or
-// row-parallel) fold the identical row partials in the identical order —
-// so violations() is bit-for-bit equal to scanViolations() at every
-// thread count, while costing at most one dirty-band refresh per query
+// per-row scan a fresh full-grid scan uses, and fresh scans fold the
+// identical row partials in the identical order — so violations() is
+// bit-for-bit equal to scanViolations(), while costing at most one
+// dirty-band refresh per query
 // instead of O(grid) per query (see DESIGN.md section 13).
 //
 // The same refresh pass maintains per-row "interesting band" bitmasks:
@@ -118,8 +118,7 @@ class Verifier {
 
   /// Global violations from the ledger. The first query after a burst of
   /// mutations refreshes the dirty row band once and folds the partials;
-  /// subsequent queries are O(1). Bit-for-bit equal to scanViolations()
-  /// at every thread count.
+  /// subsequent queries are O(1). Bit-for-bit equal to scanViolations().
   Violations violations() const;
 
   /// Fresh full-grid scan, bypassing the ledger. The debug consistency
@@ -131,10 +130,8 @@ class Verifier {
   bool ledgerMatchesScan() const;
 
   /// Violation scan restricted to a grid-local window (cells
-  /// [x0, x1) x [y0, y1), already clamped by the caller). Row-chunked
-  /// across FractureParams::numThreads workers when the window is large
-  /// enough; per-row partials fold in row order, so the result is
-  /// byte-identical for every thread count.
+  /// [x0, x1) x [y0, y1), already clamped by the caller). Per-row
+  /// partials fold in row order, the addition sequence of the ledger.
   Violations violationsInWindow(const Rect& gridWindow) const;
 
   /// Cost change if shot `index` were replaced by `replacement`, without

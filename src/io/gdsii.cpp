@@ -33,6 +33,12 @@ enum : std::uint16_t {
   kXy = 0x1003,
   kEndEl = 0x1100,
   kSname = 0x1206,
+  // Modelled only to be refused: geometry the reader cannot place exactly.
+  kPath = 0x0900,
+  kStrans = 0x1A01,
+  kMag = 0x1B05,
+  kAngle = 0x1C05,
+  kBox = 0x2D00,
 };
 
 void putU16(std::string& buf, std::uint16_t v) {
@@ -168,6 +174,11 @@ const char* recordName(std::uint16_t type) {
     case kXy: return "XY";
     case kEndEl: return "ENDEL";
     case kSname: return "SNAME";
+    case kPath: return "PATH";
+    case kStrans: return "STRANS";
+    case kMag: return "MAG";
+    case kAngle: return "ANGLE";
+    case kBox: return "BOX";
     default: return "UNKNOWN";
   }
 }
@@ -577,6 +588,48 @@ Status parseGds(std::istream& is, GdsLibrary& out) {
         curPoly.polygon = Polygon(std::move(pts));
         break;
       }
+      case kPath:
+      case kBox:
+        return Status(StatusCode::kUnsupported,
+                      std::string(recordName(type)) +
+                          " element is not supported; only BOUNDARY "
+                          "geometry is read")
+            .withOffset(recordStart);
+      case kStrans:
+      case kMag:
+      case kAngle: {
+        // Transforms of TEXT place no geometry; on a reference anything
+        // but the identity would misplace the instance.
+        if (element != Element::kSref && element != Element::kAref) {
+          r.skip(payload);
+          break;
+        }
+        const bool strans = type == kStrans;
+        if (payload != (strans ? 2u : 8u)) {
+          return badPayload(type, payload, strans ? "2" : "8", recordStart);
+        }
+        std::ostringstream value;
+        bool identity = true;
+        if (strans) {
+          const std::uint16_t flags = r.u16();
+          identity = flags == 0;
+          value << "flags 0x" << std::hex << flags;
+        } else {
+          const double v = r.real8();
+          identity = v == (type == kMag ? 1.0 : 0.0);
+          value << v;
+        }
+        if (r.ok && !identity) {
+          return Status(StatusCode::kUnsupported,
+                        std::string(recordName(type)) + " " + value.str() +
+                            " on " +
+                            (element == Element::kSref ? "SREF" : "AREF") +
+                            " is not supported; only the identity "
+                            "transform is read")
+              .withOffset(recordStart);
+        }
+        break;
+      }
       case kEndEl:
         if (cur) {
           if (element == Element::kBoundary && curPoly.polygon.size() >= 3) {
@@ -686,21 +739,6 @@ Status flattenGdsChecked(const GdsLibrary& lib, const std::string& topStruct,
   }
   std::vector<const GdsStructure*> path;
   return flattenCheckedInto(lib, *top, {0, 0}, path, out);
-}
-
-std::vector<GdsPolygon> flattenGds(const GdsLibrary& lib,
-                                   const std::string& topStruct) {
-  std::vector<GdsPolygon> out;
-  std::string topName = topStruct;
-  if (topName.empty() && !findGdsTopStructure(lib, topName).ok()) {
-    // Ambiguous or cyclic hierarchy: keep the historical best-effort
-    // default so legacy callers still get the first structure's view.
-    topName = lib.structures.empty() ? "" : lib.structures.front().name;
-  }
-  if (!topName.empty()) {
-    flattenGdsChecked(lib, topName, out);  // partial output on error
-  }
-  return out;
 }
 
 }  // namespace mbf

@@ -8,8 +8,11 @@
 //
 // Supported records: HEADER, BGNLIB, LIBNAME, UNITS, BGNSTR, STRNAME,
 // BOUNDARY, SREF, AREF, SNAME, COLROW, LAYER, DATATYPE, XY, ENDEL,
-// ENDSTR, ENDLIB. Everything else (PATH, magnification, rotation, ...)
-// is skipped on read; records are self-describing.
+// ENDSTR, ENDLIB. Records that would change where geometry lands are
+// refused on read (kUnsupported): PATH and BOX elements, and STRANS,
+// MAG or ANGLE on an SREF/AREF unless they are the identity. Everything
+// else carries no mask geometry (TEXT, properties, ...) and is skipped;
+// records are self-describing.
 #pragma once
 
 #include <cstdint>
@@ -69,9 +72,11 @@ struct GdsLibrary {
 void writeGds(std::ostream& os, const GdsLibrary& lib);
 bool saveGds(const std::string& path, const GdsLibrary& lib);
 
-/// Parses a GDSII stream. Unknown record types are skipped. On
-/// malformed input the Status names the offending record type and
-/// carries the byte offset of its record header (Status::byteOffset());
+/// Parses a GDSII stream. Geometry-free record types are skipped; PATH,
+/// BOX and non-identity reference transforms are kUnsupported. On
+/// malformed or unsupported input the Status names the offending record
+/// type and carries the byte offset of its record header
+/// (Status::byteOffset());
 /// a record whose declared payload exceeds the remaining stream is
 /// rejected as kTruncated before any of it is consumed.
 Status parseGds(std::istream& is, GdsLibrary& out);
@@ -103,16 +108,9 @@ Status findGdsTopStructure(const GdsLibrary& lib, std::string& out);
 /// space and AREFs declaring more than 2^22 instances are
 /// kInvalidArgument instead of silently dropped geometry. References to
 /// structures absent from the library are skipped (a subset extraction
-/// convention shared with flattenGds). On error `out` holds whatever
-/// geometry was gathered before the failure (partial, do not ship).
+/// convention). On error `out` holds whatever geometry was gathered
+/// before the failure (partial, do not ship).
 Status flattenGdsChecked(const GdsLibrary& lib, const std::string& topStruct,
                          std::vector<GdsPolygon>& out);
-
-/// Best-effort wrapper over flattenGdsChecked (the original API): the
-/// Status is discarded and a failed traversal yields whatever geometry
-/// was gathered before the error. `topStruct` empty auto-detects the
-/// root, falling back to the first structure when the root is ambiguous.
-std::vector<GdsPolygon> flattenGds(const GdsLibrary& lib,
-                                   const std::string& topStruct = {});
 
 }  // namespace mbf

@@ -70,10 +70,10 @@ struct CellFracture {
 
 /// Content address of a cell fracture: SHA-256 over a version tag, the
 /// result-relevant BatchConfig fingerprint (every FractureParams field
-/// except the thread counts and the fault-injector pointer — an armed
-/// injector contributes a flag so injection runs never alias clean
-/// keys), and the cell's shapes (ring and vertex counts plus raw int32
-/// vertex coordinates). 64-char lowercase hex.
+/// except the fault-injector pointer — an armed injector contributes a
+/// flag so injection runs never alias clean keys — and never
+/// BatchConfig::threads), and the cell's shapes (ring and vertex counts
+/// plus raw int32 vertex coordinates). 64-char lowercase hex.
 std::string cellFractureKey(const std::vector<LayoutShape>& shapes,
                             const BatchConfig& config);
 

@@ -9,7 +9,6 @@
 
 #include "io/atomic_file.h"
 #include "parallel/parallel_for.h"
-#include "parallel/thread_pool.h"
 #include "support/sysio.h"
 
 namespace mbf {
@@ -397,8 +396,8 @@ Status fractureLayoutJournaled(const std::vector<LayoutShape>& shapes,
   std::mutex appendErrorMutex;
   Status appendError;
   std::atomic<bool> journalBroken{false};
-  const int threads = ThreadPool::resolveThreads(config.threads);
-  parallelFor(0, static_cast<int>(pending.size()), threads, 1, [&](int k) {
+  parallelFor(0, static_cast<int>(pending.size()), config.threads, 1,
+              [&](int k) {
     const auto s = static_cast<std::size_t>(pending[static_cast<std::size_t>(k)]);
     ShapeOutcome outcome = fractureShapeGuarded(
         shapes[s], config.params, config.method, base + static_cast<int>(s),

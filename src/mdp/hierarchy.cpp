@@ -11,7 +11,6 @@
 #include "io/atomic_file.h"
 #include "mdp/cell_cache.h"
 #include "parallel/parallel_for.h"
-#include "parallel/thread_pool.h"
 #include "support/sysio.h"
 
 namespace mbf {
@@ -415,7 +414,7 @@ Status fractureGdsHierarchical(const GdsLibrary& lib,
   }
 
   // Journal appends come from the coordinating thread (cache hits) AND
-  // from pool threads (the last shape of a fracturing cell); append()
+  // from helper threads (the last shape of a fracturing cell); append()
   // itself is thread-safe, the degrade ladder mirrors
   // fractureLayoutJournaled: the first failed append downgrades the run
   // to unjournaled completion.
@@ -466,13 +465,13 @@ Status fractureGdsHierarchical(const GdsLibrary& lib,
     missCells.push_back(i);
   }
 
-  // Fracture every missing cell's shapes as ONE batch on the
-  // work-stealing pool, mirroring fractureLayoutParallel exactly (same
-  // guarded path, same shapeIndexBase + position indices — which is
-  // what keeps hierarchical output byte-identical to the unjournaled
-  // driver). A cell's CellRecord is appended the moment its LAST shape
-  // completes; interrupted cells are never journaled — a later resume
-  // re-fractures them instead of replaying unfinished work.
+  // Fracture every missing cell's shapes as ONE parallelFor batch,
+  // mirroring fractureLayoutParallel exactly (same guarded path, same
+  // shapeIndexBase + position indices — which is what keeps
+  // hierarchical output byte-identical to the unjournaled driver). A
+  // cell's CellRecord is appended the moment its LAST shape completes;
+  // interrupted cells are never journaled — a later resume re-fractures
+  // them instead of replaying unfinished work.
   std::vector<LayoutShape> missShapes;
   std::vector<std::pair<int, int>> missSlot;  // (cell, cell-local shape)
   for (const int cellIdx : missCells) {
@@ -497,8 +496,7 @@ Status fractureGdsHierarchical(const GdsLibrary& lib,
     cellInterrupted[c].store(false, std::memory_order_relaxed);
   }
   if (!missShapes.empty()) {
-    const int threads = ThreadPool::resolveThreads(config.threads);
-    parallelFor(0, static_cast<int>(missShapes.size()), threads, 1,
+    parallelFor(0, static_cast<int>(missShapes.size()), config.threads, 1,
                 [&](int k) {
       const auto s = static_cast<std::size_t>(k);
       ShapeOutcome outcome = fractureShapeGuarded(

@@ -162,8 +162,8 @@ Status hierarchicalInstanceShapes(const GdsLibrary& lib,
 /// Fractures `lib` hierarchically from the resolved top: groups each
 /// REACHABLE cell's polygons into shapes, dedupes cells by content key,
 /// consults the persistent cache when options.cellCacheDir is set,
-/// fractures all missing cells in one batch over the work-stealing pool
-/// (per-shape budgets and degradation ladder apply per cell shape), and
+/// fractures all missing cells in one parallelFor batch (per-shape
+/// budgets and degradation ladder apply per cell shape), and
 /// expands instances by translating the cell-local solutions. Traversal
 /// errors (no unique top, reference cycle, depth overflow, placement
 /// outside int32) return a Status naming the cell chain; `out` then

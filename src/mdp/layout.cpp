@@ -382,14 +382,14 @@ BatchResult fractureLayoutParallel(const std::vector<LayoutShape>& shapes,
   result.reports.resize(shapes.size());
   std::vector<RefinerStats> shapeStats(shapes.size());
 
-  // One job per shape on the work-stealing pool. Jobs write only their
-  // own output slot; the scheduler decides where a job runs, never what
-  // it computes, so any thread count produces identical solutions. The
+  // One job per shape. Jobs write only their own output slot; the
+  // scheduler decides where a job runs, never what it computes, so any
+  // thread count produces identical solutions. The
   // guarded path converts every per-shape failure into a degraded (or,
   // in strict mode, empty-with-status) slot, so one bad shape never
   // aborts the batch and parallelFor never sees an exception from here.
-  const int threads = ThreadPool::resolveThreads(config.threads);
-  parallelFor(0, static_cast<int>(shapes.size()), threads, 1, [&](int i) {
+  parallelFor(0, static_cast<int>(shapes.size()), config.threads, 1,
+              [&](int i) {
     const std::size_t s = static_cast<std::size_t>(i);
     // Reports carry the ORIGINAL layout index: tile-local i offset by
     // the shard base (0 for a full run).
@@ -406,11 +406,6 @@ BatchResult fractureLayoutParallel(const std::vector<LayoutShape>& shapes,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   return result;
-}
-
-BatchResult fractureLayout(const std::vector<LayoutShape>& shapes,
-                           const BatchConfig& config) {
-  return fractureLayoutParallel(shapes, config);
 }
 
 }  // namespace mbf

@@ -115,9 +115,9 @@ struct BatchResult {
 struct BatchConfig {
   FractureParams params;
   Method method = Method::kOurs;
-  /// Worker threads fracturing shapes concurrently: 0 = hardware
-  /// concurrency, 1 = serial. Independent of params.numThreads (the
-  /// in-problem scan parallelism); both share the global pool.
+  /// Threads fracturing shapes concurrently: 0 = hardware concurrency,
+  /// 1 = serial. The only parallelism of a run: each shape is fractured
+  /// serially on whichever thread claims it.
   int threads = 1;
   /// When true (the default), a shape whose primary fracture fails is
   /// re-fractured with the rect-partition baseline and tagged degraded;
@@ -145,18 +145,13 @@ struct BatchConfig {
 void mergeBatchAggregates(BatchResult& result,
                           const std::vector<RefinerStats>& shapeStats);
 
-/// Parallel layout fracturing on the work-stealing pool: every shape is
-/// one job with private Problem/Verifier state. A shape's grid covers its
-/// polygon inflated by the gamma + 3*sigma halo, so jobs touch disjoint
+/// Parallel layout fracturing, one parallelFor over shapes: every shape
+/// is one job with private Problem/Verifier state. A shape's grid covers
+/// its polygon inflated by the gamma + 3*sigma halo, so jobs touch disjoint
 /// state and run concurrently without synchronisation; shot lists and
 /// aggregate statistics are merged in input order after the join, making
 /// the result byte-identical for any thread count (verified in tests).
 BatchResult fractureLayoutParallel(const std::vector<LayoutShape>& shapes,
                                    const BatchConfig& config);
-
-/// Convenience alias of fractureLayoutParallel (the historical entry
-/// point; the serial path is config.threads == 1).
-BatchResult fractureLayout(const std::vector<LayoutShape>& shapes,
-                           const BatchConfig& config);
 
 }  // namespace mbf

@@ -8,8 +8,8 @@
 // its IntensityMap — so the hot path pays one add, never a contended
 // cache line. Aggregation across shapes happens after the parallel join,
 // through operator+= (same pattern as RefinerStats). Code that runs
-// *inside* a parallelFor must not touch a shared sink; the bulk setShots
-// path therefore accumulates its profile work once, after the join.
+// *inside* a parallelFor must not touch a shared sink; a shape's
+// counters are only ever written by the one thread fracturing it.
 #pragma once
 
 #include <chrono>

@@ -153,7 +153,7 @@ std::int64_t traceNowNs();
 /// threads and foreign (merged worker) spans into one list.
 class TraceRecorder {
  public:
-  /// The process-lifetime singleton (never destroyed, so pool threads
+  /// The process-lifetime singleton (never destroyed, so helper threads
   /// exiting late can always flush their buffers).
   static TraceRecorder& instance();
 

@@ -193,7 +193,7 @@ LayoutShape iltLayoutShape(unsigned seed) {
 TEST(DenseOracleTest, BitwiseAgreementWithVerifierAcrossThreads) {
   // Randomized realistic shapes, fractured by the real pipeline; the
   // independent gather evaluator must agree with the scatter-built
-  // Verifier BIT FOR BIT — counts and cost — at every thread count.
+  // Verifier BIT FOR BIT — counts and cost.
   for (const unsigned seed : {101u, 202u, 303u, 404u}) {
     const LayoutShape shape = iltLayoutShape(seed);
     FractureParams params;
@@ -201,20 +201,16 @@ TEST(DenseOracleTest, BitwiseAgreementWithVerifierAcrossThreads) {
     const Solution sol = fractureShape(shape, params, Method::kOurs);
     ASSERT_FALSE(sol.shots.empty()) << "seed " << seed;
 
-    for (const int threads : {1, 4, 8}) {
-      FractureParams tp = params;
-      tp.numThreads = threads;
-      Problem problem(shape.rings, tp);
-      Verifier verifier(problem);
-      verifier.setShots(sol.shots);
-      const Violations expected = verifier.violations();
+    Problem problem(shape.rings, params);
+    Verifier verifier(problem);
+    verifier.setShots(sol.shots);
+    const Violations expected = verifier.violations();
 
-      const DenseViolations dense = denseViolations(problem, sol.shots);
-      EXPECT_EQ(dense.failOn, expected.failOn) << "seed " << seed;
-      EXPECT_EQ(dense.failOff, expected.failOff) << "seed " << seed;
-      EXPECT_EQ(dense.cost, expected.cost)  // bitwise, not a tolerance
-          << "seed " << seed << " threads " << threads;
-    }
+    const DenseViolations dense = denseViolations(problem, sol.shots);
+    EXPECT_EQ(dense.failOn, expected.failOn) << "seed " << seed;
+    EXPECT_EQ(dense.failOff, expected.failOff) << "seed " << seed;
+    EXPECT_EQ(dense.cost, expected.cost)  // bitwise, not a tolerance
+        << "seed " << seed;
   }
 }
 
@@ -303,7 +299,7 @@ TEST(AuditSectionsTest, CleanBatchHasNoFindings) {
   std::vector<LayoutShape> shapes = {iltLayoutShape(31u), iltLayoutShape(32u)};
   BatchConfig config;
   config.params.nmax = 300;
-  const BatchResult result = fractureLayout(shapes, config);
+  const BatchResult result = fractureLayoutParallel(shapes, config);
 
   std::ostringstream os;
   writeBatchShots(os, result.solutions);
@@ -328,7 +324,7 @@ TEST(AuditSectionsTest, FlagsTamperedClaimsAndShots) {
   std::vector<LayoutShape> shapes = {iltLayoutShape(41u)};
   BatchConfig config;
   config.params.nmax = 300;
-  const BatchResult result = fractureLayout(shapes, config);
+  const BatchResult result = fractureLayoutParallel(shapes, config);
 
   std::ostringstream os;
   writeBatchShots(os, result.solutions);

@@ -11,10 +11,13 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "gds_record_bytes.h"
 #include "io/gdsii.h"
 
 namespace {
@@ -44,10 +47,18 @@ std::string validGdsBytes() {
   return ss.str();
 }
 
+std::string readFile(const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream os;
+  os << is.rdbuf();
+  return os.str();
+}
+
 int runCli(const std::string& cli, const Case& c, const std::string& outDir) {
   const std::string cmd = "'" + cli + "' '" + c.file + "' '" + outDir + "/" +
                           c.name + ".shots' " + c.extraArgs +
-                          " > /dev/null 2>&1";
+                          " > /dev/null 2> '" + outDir + "/" + c.name +
+                          ".err'";
   const int raw = std::system(cmd.c_str());
   if (raw == -1) return -1;
 #if defined(WIFEXITED)
@@ -71,6 +82,8 @@ int main(int argc, char** argv) {
 
   const std::string gds = validGdsBytes();
   std::vector<Case> cases;
+  // Case name -> text its stderr must contain next to a byte offset.
+  std::map<std::string, std::string> wantMessage;
 
   // --- .poly corpus -----------------------------------------------------
   writeFile(dir + "/comments_only.poly", "# nothing here\n# still nothing\n");
@@ -111,6 +124,39 @@ int main(int argc, char** argv) {
                 std::string(8, '\x00'));
   cases.push_back({"overrun", dir + "/overrun.gds", "", 3});
 
+  // Records that would move or drop geometry: refused with the record
+  // name and its byte offset, never fractured without them.
+  namespace gb = mbf::gds_bytes;
+  const std::vector<std::pair<std::string, std::string>> refused = {
+      {"PATH", gb::library(gb::record(gb::kPath) +
+                           gb::record(gb::kLayer, gb::u16(1)) +
+                           gb::record(gb::kWidth, gb::i32s({10})) +
+                           gb::record(gb::kXy, gb::i32s({0, 0, 100, 0})) +
+                           gb::record(gb::kEndEl))},
+      {"BOX", gb::library(gb::record(gb::kBox) +
+                          gb::record(gb::kLayer, gb::u16(1)) +
+                          gb::record(gb::kXy, gb::i32s({0, 0, 50, 0, 50, 50,
+                                                        0, 50, 0, 0})) +
+                          gb::record(gb::kEndEl))},
+      {"STRANS", gb::library(gb::srefWith(
+                     gb::record(gb::kStrans, gb::u16(0x8000))))},
+      {"MAG", gb::library(gb::arefWith(gb::record(gb::kStrans, gb::u16(0)) +
+                                        gb::record(gb::kMag, gb::kReal2)))},
+      {"ANGLE",
+       gb::library(gb::srefWith(gb::record(gb::kStrans, gb::u16(0)) +
+                                gb::record(gb::kAngle, gb::kReal90)))},
+  };
+  for (const auto& [record, bytes] : refused) {
+    const std::string file = dir + "/refused_" + record + ".gds";
+    writeFile(file, bytes);
+    for (const std::string mode : {"", "--hier"}) {
+      const std::string name =
+          "refused_" + record + (mode.empty() ? "" : "_hier");
+      cases.push_back({name, file, mode, 3});
+      wantMessage[name] = record;
+    }
+  }
+
   // --- bad arguments on a valid file ------------------------------------
   writeFile(dir + "/valid.poly", "0 0\n80 0\n80 50\n0 50\n");
   cases.push_back({"neg_gamma", dir + "/valid.poly", "--gamma=-2", 2});
@@ -122,9 +168,19 @@ int main(int argc, char** argv) {
   int failures = 0;
   for (const Case& c : cases) {
     const int got = runCli(cli, c, dir);
-    const bool pass = got == c.wantExit;
-    std::printf("%-16s exit=%d want=%d  %s\n", c.name.c_str(), got,
+    const std::string err = readFile(dir + "/" + c.name + ".err");
+    const auto want = wantMessage.find(c.name);
+    const bool pass =
+        got == c.wantExit &&
+        (want == wantMessage.end() ||
+         (err.find(want->second) != std::string::npos &&
+          err.find("[offset ") != std::string::npos));
+    std::printf("%-20s exit=%d want=%d  %s\n", c.name.c_str(), got,
                 c.wantExit, pass ? "ok" : "FAIL");
+    if (!pass && want != wantMessage.end()) {
+      std::printf("  stderr (want '%s' and an offset): %s",
+                  want->second.c_str(), err.c_str());
+    }
     if (!pass) ++failures;
   }
   if (failures > 0) {

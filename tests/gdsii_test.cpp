@@ -1,9 +1,11 @@
 // Tests for the GDSII subset: record encoding, 8-byte real round trip,
-// polygon round trips and robustness against unknown records.
+// polygon round trips, robustness against unknown records, and the
+// loud refusal of records that would move or drop geometry.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "gds_record_bytes.h"
 #include "io/gdsii.h"
 
 namespace mbf {
@@ -80,7 +82,11 @@ TEST(GdsiiTest, EmptyLibrary) {
   writeGds(ss, lib);
   GdsLibrary back;
   ASSERT_TRUE(readGds(ss, back));
-  EXPECT_TRUE(flattenGds(back).empty());
+  // Nothing to flatten: the checked traversal names the empty library.
+  std::vector<GdsPolygon> flat;
+  const Status st = flattenGdsChecked(back, "", flat);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.str();
+  EXPECT_TRUE(flat.empty());
 }
 
 TEST(GdsiiTest, GarbageRejected) {
@@ -107,7 +113,9 @@ TEST(GdsiiTest, FileRoundTrip) {
   ASSERT_TRUE(saveGds(path, lib));
   GdsLibrary back;
   ASSERT_TRUE(loadGds(path, back));
-  EXPECT_EQ(flattenGds(back).size(), 2u);
+  std::vector<GdsPolygon> flat;
+  ASSERT_TRUE(flattenGdsChecked(back, "", flat).ok());
+  EXPECT_EQ(flat.size(), 2u);
   std::remove(path.c_str());
 }
 
@@ -119,6 +127,109 @@ TEST(GdsiiTest, OddLengthNamesPadded) {
   GdsLibrary back;
   ASSERT_TRUE(readGds(ss, back));
   EXPECT_EQ(back.libName, "ODD");
+}
+
+// --- records refused on read --------------------------------------------
+
+namespace gb = gds_bytes;
+
+// Parses `bytes` and expects kUnsupported naming `record` at `offset`.
+void expectRefused(const std::string& bytes, const std::string& record,
+                   std::size_t offset) {
+  std::stringstream ss(bytes, std::ios::in | std::ios::binary);
+  GdsLibrary lib;
+  const Status st = parseGds(ss, lib);
+  EXPECT_EQ(st.code(), StatusCode::kUnsupported) << st.str();
+  EXPECT_EQ(st.byteOffset(), static_cast<std::int64_t>(offset)) << st.str();
+  EXPECT_NE(st.message().find(record), std::string::npos) << st.str();
+}
+
+TEST(GdsiiTest, PathElementIsRefused) {
+  std::size_t at = 0;
+  const std::string bytes = gb::library(
+      gb::record(gb::kPath) + gb::record(gb::kLayer, gb::u16(1)) +
+          gb::record(gb::kDatatype, gb::u16(0)) +
+          gb::record(gb::kWidth, gb::i32s({10})) +
+          gb::record(gb::kXy, gb::i32s({0, 0, 100, 0})) +
+          gb::record(gb::kEndEl),
+      &at);
+  expectRefused(bytes, "PATH", at);
+}
+
+TEST(GdsiiTest, BoxElementIsRefused) {
+  std::size_t at = 0;
+  const std::string bytes = gb::library(
+      gb::record(gb::kBox) + gb::record(gb::kLayer, gb::u16(1)) +
+          gb::record(gb::kBoxType, gb::u16(0)) +
+          gb::record(gb::kXy,
+                     gb::i32s({0, 0, 50, 0, 50, 50, 0, 50, 0, 0})) +
+          gb::record(gb::kEndEl),
+      &at);
+  expectRefused(bytes, "BOX", at);
+}
+
+TEST(GdsiiTest, MirroredReferenceIsRefused) {
+  std::size_t at = 0;
+  const std::string bytes = gb::library(
+      gb::srefWith(gb::record(gb::kStrans, gb::u16(0x8000))), &at);
+  // The STRANS record follows the SREF and SNAME headers.
+  expectRefused(bytes, "STRANS",
+                at + gb::record(gb::kSref).size() +
+                    gb::record(gb::kSname, "CHILD").size());
+}
+
+TEST(GdsiiTest, MagnifiedReferenceIsRefused) {
+  std::size_t at = 0;
+  const std::string bytes = gb::library(
+      gb::arefWith(gb::record(gb::kStrans, gb::u16(0)) +
+                   gb::record(gb::kMag, gb::kReal2)),
+      &at);
+  expectRefused(bytes, "MAG",
+                at + gb::record(gb::kAref).size() +
+                    gb::record(gb::kSname, "CHILD").size() +
+                    gb::record(gb::kColrow, gb::u16(2) + gb::u16(1)).size() +
+                    gb::record(gb::kStrans, gb::u16(0)).size());
+}
+
+TEST(GdsiiTest, RotatedReferenceIsRefused) {
+  std::size_t at = 0;
+  const std::string bytes = gb::library(
+      gb::srefWith(gb::record(gb::kStrans, gb::u16(0)) +
+                   gb::record(gb::kAngle, gb::kReal90)),
+      &at);
+  expectRefused(bytes, "ANGLE",
+                at + gb::record(gb::kSref).size() +
+                    gb::record(gb::kSname, "CHILD").size() +
+                    gb::record(gb::kStrans, gb::u16(0)).size());
+}
+
+TEST(GdsiiTest, IdentityTransformsAndGeometryFreeRecordsPass) {
+  // Identity STRANS/MAG/ANGLE on references, a rotated and magnified
+  // TEXT label, and element properties: none of them moves geometry.
+  const std::string identity = gb::record(gb::kStrans, gb::u16(0)) +
+                               gb::record(gb::kMag, gb::kReal1) +
+                               gb::record(gb::kAngle, gb::kReal0);
+  const std::string text =
+      gb::record(gb::kText) + gb::record(gb::kLayer, gb::u16(5)) +
+      gb::record(gb::kTextType, gb::u16(0)) +
+      gb::record(gb::kStrans, gb::u16(0x8000)) +
+      gb::record(gb::kMag, gb::kReal2) +
+      gb::record(gb::kAngle, gb::kReal90) +
+      gb::record(gb::kXy, gb::i32s({5, 5})) +
+      gb::record(gb::kString, "LABEL") + gb::record(gb::kEndEl);
+  const std::string property = gb::record(gb::kPropAttr, gb::u16(1)) +
+                               gb::record(gb::kPropValue, "NOTE");
+  const std::string bytes =
+      gb::library(gb::srefWith(identity + property) +
+                  gb::arefWith(identity) + text);
+  std::stringstream ss(bytes, std::ios::in | std::ios::binary);
+  GdsLibrary lib;
+  const Status st = parseGds(ss, lib);
+  ASSERT_TRUE(st.ok()) << st.str();
+  std::vector<GdsPolygon> flat;
+  ASSERT_TRUE(flattenGdsChecked(lib, "TOP", flat).ok());
+  // One SREF instance plus a 2 x 1 AREF of the one-polygon CHILD.
+  EXPECT_EQ(flat.size(), 3u);
 }
 
 }  // namespace

@@ -317,7 +317,6 @@ TEST(CellCacheTest, KeyInvalidatesOnEveryResultRelevantField) {
   // Thread counts are byte-identity knobs, not result knobs: same key.
   BatchConfig threaded = base;
   threaded.threads = 8;
-  threaded.params.numThreads = 8;
   EXPECT_EQ(cellFractureKey(shapes, threaded), baseKey);
   // shapeIndexBase is reporting plumbing, not a result knob.
   BatchConfig based = base;
@@ -346,7 +345,7 @@ TEST(CellCacheTest, StoreLoadRoundTripIsBitExact) {
 
   const std::vector<LayoutShape> shapes = cellShapes();
   const BatchConfig config;
-  const BatchResult batch = fractureLayout(shapes, config);
+  const BatchResult batch = fractureLayoutParallel(shapes, config);
   CellFracture cell;
   cell.solutions = batch.solutions;
   cell.reports = batch.reports;
@@ -379,7 +378,7 @@ TEST(CellCacheTest, TamperedEntryIsRejectedNeverReused) {
 
   const std::vector<LayoutShape> shapes = cellShapes();
   const BatchConfig config;
-  const BatchResult batch = fractureLayout(shapes, config);
+  const BatchResult batch = fractureLayoutParallel(shapes, config);
   CellFracture cell{batch.solutions, batch.reports};
   const std::string key = cellFractureKey(shapes, config);
   ASSERT_TRUE(cache.store(key, cell).ok());
@@ -420,7 +419,7 @@ TEST(CellCacheTest, MissingSidecarIsPublicationWindowMiss) {
   ASSERT_TRUE(cache.prepare().ok());
   const std::vector<LayoutShape> shapes = cellShapes();
   const BatchConfig config;
-  const BatchResult batch = fractureLayout(shapes, config);
+  const BatchResult batch = fractureLayoutParallel(shapes, config);
   CellFracture cell{batch.solutions, batch.reports};
   const std::string key = cellFractureKey(shapes, config);
   ASSERT_TRUE(cache.store(key, cell).ok());
@@ -444,7 +443,7 @@ TEST(CellCacheTest, StoreOverExistingEntryIsBenignLastWriterWins) {
   TempCacheDir dir("lastwriter");
   const std::vector<LayoutShape> shapes = cellShapes();
   const BatchConfig config;
-  const BatchResult batch = fractureLayout(shapes, config);
+  const BatchResult batch = fractureLayoutParallel(shapes, config);
   CellFracture cell{batch.solutions, batch.reports};
   const std::string key = cellFractureKey(shapes, config);
 
@@ -481,7 +480,7 @@ TEST(CellCacheTest, QuotaEvictionSkipsKeysNotedByLiveProcess) {
   TempCacheDir dir("quotalive");
   const std::vector<LayoutShape> shapes = cellShapes();
   const BatchConfig config;
-  const BatchResult batch = fractureLayout(shapes, config);
+  const BatchResult batch = fractureLayoutParallel(shapes, config);
   CellFracture cell{batch.solutions, batch.reports};
   const std::string k1(64, '1');
   const std::string k2(64, '2');

@@ -80,7 +80,7 @@ TEST(BatchTest, TotalsAggregate) {
     shapes.push_back(s);
   }
   BatchConfig config;
-  const BatchResult result = fractureLayout(shapes, config);
+  const BatchResult result = fractureLayoutParallel(shapes, config);
   ASSERT_EQ(result.solutions.size(), 3u);
   int shots = 0;
   for (const Solution& sol : result.solutions) shots += sol.shotCount();
@@ -102,8 +102,8 @@ TEST(BatchTest, ThreadCountDoesNotChangeResults) {
   one.threads = 1;
   BatchConfig four;
   four.threads = 4;
-  const BatchResult a = fractureLayout(shapes, one);
-  const BatchResult b = fractureLayout(shapes, four);
+  const BatchResult a = fractureLayoutParallel(shapes, one);
+  const BatchResult b = fractureLayoutParallel(shapes, four);
   ASSERT_EQ(a.solutions.size(), b.solutions.size());
   for (std::size_t i = 0; i < a.solutions.size(); ++i) {
     EXPECT_EQ(a.solutions[i].shots, b.solutions[i].shots) << i;
@@ -126,11 +126,11 @@ TEST(BatchTest, OneLthDerivationPerRun) {
     config.threads = threads;
     config.params.gamma = gamma;
     const std::uint64_t before = ProximityModel::lthDerivations();
-    const BatchResult result = fractureLayout(shapes, config);
+    const BatchResult result = fractureLayoutParallel(shapes, config);
     EXPECT_EQ(result.solutions.size(), 3u);
     EXPECT_EQ(ProximityModel::lthDerivations(), before + 1)
         << threads << " thread(s)";
-    fractureLayout(shapes, config);  // same model: no new derivation
+    fractureLayoutParallel(shapes, config);  // same model: no new derivation
     EXPECT_EQ(ProximityModel::lthDerivations(), before + 1)
         << threads << " thread(s), repeated";
   }
@@ -142,7 +142,7 @@ TEST(BatchTest, MethodSelectionAffectsAllShapes) {
   shapes[1].rings.push_back(square(50, {100, 100}));
   BatchConfig config;
   config.method = Method::kGsc;
-  const BatchResult result = fractureLayout(shapes, config);
+  const BatchResult result = fractureLayoutParallel(shapes, config);
   for (const Solution& sol : result.solutions) {
     EXPECT_EQ(sol.method, "GSC");
   }

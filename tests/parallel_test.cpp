@@ -1,17 +1,19 @@
-// Tests for the parallel execution layer: the work-stealing pool, the
-// chunked parallelFor, and — most importantly — the determinism contract:
-// every parallel path must produce byte-identical results for any thread
-// count. FP addition is not associative, so these tests compare doubles
-// with exact ==, not tolerances.
+// Tests for the parallel execution layer: the chunked parallelFor and —
+// most importantly — the determinism contract: every parallel path must
+// produce byte-identical results for any thread count. FP addition is
+// not associative, so these tests compare doubles with exact ==, not
+// tolerances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstdint>
 #include <latch>
-#include <memory>
+#include <mutex>
 #include <random>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -22,53 +24,18 @@
 #include "fracture/verifier.h"
 #include "mdp/layout.h"
 #include "parallel/parallel_for.h"
-#include "parallel/thread_pool.h"
 
 namespace mbf {
 namespace {
 
-// --- ThreadPool ---------------------------------------------------------
-
-TEST(ThreadPoolTest, ExecutesAllSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  const int kTasks = 200;
-  for (int i = 0; i < kTasks; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (count.load() < kTasks &&
-         std::chrono::steady_clock::now() < deadline) {
-    if (!pool.tryRunOne()) std::this_thread::yield();
-  }
-  EXPECT_EQ(count.load(), kTasks);
-}
-
-TEST(ThreadPoolTest, TryRunOneDrainsFromNonWorkerThread) {
-  ThreadPool pool(1);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.submit([&count] { count.fetch_add(1); });
-  }
-  // The calling thread helps; combined with the worker, every task runs.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (count.load() < 8 && std::chrono::steady_clock::now() < deadline) {
-    if (!pool.tryRunOne()) std::this_thread::yield();
-  }
-  EXPECT_EQ(count.load(), 8);
-  EXPECT_FALSE(pool.tryRunOne());  // queues drained
-}
-
-TEST(ThreadPoolTest, ResolveThreads) {
-  EXPECT_GE(ThreadPool::resolveThreads(0), 1);
-  EXPECT_EQ(ThreadPool::resolveThreads(1), 1);
-  EXPECT_EQ(ThreadPool::resolveThreads(6), 6);
-  EXPECT_EQ(ThreadPool::resolveThreads(-3), 1);
-}
-
 // --- parallelFor --------------------------------------------------------
+
+TEST(ParallelForTest, ResolveThreads) {
+  EXPECT_GE(resolveThreads(0), 1);
+  EXPECT_EQ(resolveThreads(1), 1);
+  EXPECT_EQ(resolveThreads(6), 6);
+  EXPECT_EQ(resolveThreads(-3), 1);
+}
 
 TEST(ParallelForTest, CoversRangeExactlyOnce) {
   const int n = 1000;
@@ -99,6 +66,21 @@ TEST(ParallelForTest, NestedParallelForDoesNotDeadlock) {
   }
 }
 
+TEST(ParallelForTest, HelpersNeverExceedHardwareConcurrency) {
+  // An absurd request is capped at the core count, caller included. With
+  // 64 chunks even a missing cap could start no more than 63 helpers,
+  // and each body sleeps so that every started helper claims a chunk.
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+  parallelFor(0, 64, 1 << 20, 1, [&](int) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const std::lock_guard<std::mutex> lock(mutex);
+    ids.insert(std::this_thread::get_id());
+  });
+  const unsigned hw = std::thread::hardware_concurrency();
+  EXPECT_LE(ids.size(), std::max(1u, hw));
+}
+
 // --- IntensityMap bulk application --------------------------------------
 
 std::vector<Rect> randomShots(std::uint32_t seed, int count, int span) {
@@ -122,60 +104,21 @@ TEST(ParallelIntensityTest, BulkSetShotsMatchesSequentialAddBitwise) {
   IntensityMap sequential(model, {-20, -20}, 230, 230);
   for (const Rect& s : shots) sequential.addShot(s);
 
-  for (const int threads : {1, 2, 4}) {
-    IntensityMap bulk(model, {-20, -20}, 230, 230);
-    bulk.setShots(shots, threads);
-    ASSERT_EQ(bulk.grid().data(), sequential.grid().data())
-        << "threads=" << threads;
-  }
-}
-
-// --- Verifier scan determinism ------------------------------------------
-
-TEST(ParallelVerifierTest, ViolationsBitwiseEqualAcrossThreadCounts) {
-  const Polygon shape = makeOpcShape(opcSuiteConfigs()[4]);
-
-  FractureParams serialParams;
-  serialParams.numThreads = 1;
-  const Problem serialProblem(shape, serialParams);
-  Verifier serialVerifier(serialProblem);
-  const std::vector<Rect> shots = randomShots(7, 25, 100);
-  serialVerifier.setShots(shots);
-  const Violations serial = serialVerifier.violations();
-
-  for (const int threads : {2, 4, 8}) {
-    FractureParams params;
-    params.numThreads = threads;
-    const Problem problem(shape, params);
-    Verifier verifier(problem);
-    verifier.setShots(shots);
-    const Violations v = verifier.violations();
-    EXPECT_EQ(v.failOn, serial.failOn) << "threads=" << threads;
-    EXPECT_EQ(v.failOff, serial.failOff) << "threads=" << threads;
-    // Exact ==: per-row partials fold in row order on every path.
-    EXPECT_EQ(v.cost, serial.cost) << "threads=" << threads;
-  }
+  IntensityMap bulk(model, {-20, -20}, 230, 230);
+  bulk.setShots(shots);
+  ASSERT_EQ(bulk.grid().data(), sequential.grid().data());
 }
 
 // --- Violation ledger property test -------------------------------------
 //
 // The ledger's contract: after ANY interleaving of add/remove/replace
 // mutations, the lazily refreshed per-row ledger folds to exactly the
-// same Violations a fresh full-grid scan produces — bit for bit, at
-// every thread count — and the totals agree across thread counts.
+// same Violations a fresh full-grid scan produces — bit for bit.
 
 TEST(ParallelVerifierTest, LedgerEqualsFreshScanOverRandomMutationCycles) {
   const Polygon shape = makeOpcShape(opcSuiteConfigs()[2]);
-
-  std::vector<std::unique_ptr<Problem>> problems;
-  std::vector<std::unique_ptr<Verifier>> verifiers;
-  const int threadCounts[] = {1, 4, 8};
-  for (const int threads : threadCounts) {
-    FractureParams params;
-    params.numThreads = threads;
-    problems.push_back(std::make_unique<Problem>(shape, params));
-    verifiers.push_back(std::make_unique<Verifier>(*problems.back()));
-  }
+  const Problem problem(shape, FractureParams{});
+  Verifier verifier(problem);
 
   std::mt19937 rng(1729);
   std::uniform_int_distribution<int> pos(-10, 90);
@@ -189,7 +132,7 @@ TEST(ParallelVerifierTest, LedgerEqualsFreshScanOverRandomMutationCycles) {
   };
 
   std::vector<Rect> shots = {randomRect(), randomRect(), randomRect()};
-  for (auto& v : verifiers) v->setShots(shots);
+  verifier.setShots(shots);
 
   const int kCycles = 10000;
   for (int step = 0; step < kCycles; ++step) {
@@ -197,7 +140,7 @@ TEST(ParallelVerifierTest, LedgerEqualsFreshScanOverRandomMutationCycles) {
       case 0: {  // add
         const Rect s = randomRect();
         shots.push_back(s);
-        for (auto& v : verifiers) v->addShot(s);
+        verifier.addShot(s);
         break;
       }
       case 1: {  // remove
@@ -205,7 +148,7 @@ TEST(ParallelVerifierTest, LedgerEqualsFreshScanOverRandomMutationCycles) {
             std::uniform_int_distribution<int>(
                 0, static_cast<int>(shots.size()) - 1)(rng));
         shots.erase(shots.begin() + static_cast<std::ptrdiff_t>(i));
-        for (auto& v : verifiers) v->removeShot(i);
+        verifier.removeShot(i);
         break;
       }
       default: {  // replace (the refiner's edge-move pattern)
@@ -217,32 +160,21 @@ TEST(ParallelVerifierTest, LedgerEqualsFreshScanOverRandomMutationCycles) {
         r.y1 += jitter(rng);
         if (r.empty()) r = randomRect();
         shots[i] = r;
-        for (auto& v : verifiers) v->replaceShot(i, r);
+        verifier.replaceShot(i, r);
         break;
       }
     }
     // Spot-check mid-stream (every mutation would be O(cycles * grid));
     // the final check below covers the fully mixed history.
     if (step % 997 == 0) {
-      const Violations reference = verifiers[0]->violations();
-      for (std::size_t k = 0; k < verifiers.size(); ++k) {
-        EXPECT_EQ(verifiers[k]->violations(), verifiers[k]->scanViolations())
-            << "step " << step << ", threads=" << threadCounts[k];
-        EXPECT_EQ(verifiers[k]->violations(), reference)
-            << "step " << step << ", threads=" << threadCounts[k];
-      }
+      EXPECT_EQ(verifier.violations(), verifier.scanViolations())
+          << "step " << step;
     }
   }
 
-  const Violations reference = verifiers[0]->violations();
-  for (std::size_t k = 0; k < verifiers.size(); ++k) {
-    // Exact ==: Violations comparison is bitwise on the cost double.
-    EXPECT_EQ(verifiers[k]->violations(), verifiers[k]->scanViolations())
-        << "threads=" << threadCounts[k];
-    EXPECT_EQ(verifiers[k]->violations(), reference)
-        << "threads=" << threadCounts[k];
-    EXPECT_TRUE(verifiers[k]->ledgerMatchesScan());
-  }
+  // Exact ==: Violations comparison is bitwise on the cost double.
+  EXPECT_EQ(verifier.violations(), verifier.scanViolations());
+  EXPECT_TRUE(verifier.ledgerMatchesScan());
 }
 
 // --- End-to-end layout determinism (the issue's acceptance test) --------
@@ -258,14 +190,12 @@ TEST(ParallelLayoutTest, FractureLayoutParallelIsByteIdentical) {
 
   BatchConfig serialConfig;
   serialConfig.threads = 1;
-  serialConfig.params.numThreads = 1;
   const BatchResult serial = fractureLayoutParallel(shapes, serialConfig);
   ASSERT_EQ(serial.solutions.size(), shapes.size());
 
   for (const int threads : {2, 8}) {
     BatchConfig config;
     config.threads = threads;
-    config.params.numThreads = threads;
     const BatchResult result = fractureLayoutParallel(shapes, config);
     ASSERT_EQ(result.solutions.size(), shapes.size());
     EXPECT_EQ(result.totalShots, serial.totalShots);

@@ -278,9 +278,8 @@ std::string manifestForThreads(int threads, BatchResult* resultOut) {
   const std::vector<LayoutShape> shapes = manifestShapes();
   BatchConfig config;
   config.threads = threads;
-  config.params.numThreads = threads;
   config.params.nmax = 200;
-  const BatchResult result = fractureLayout(shapes, config);
+  const BatchResult result = fractureLayoutParallel(shapes, config);
 
   std::vector<Rect> allShots;
   for (const Solution& sol : result.solutions) {

@@ -9,7 +9,8 @@
 //   --lmin=<nm>                  minimum shot side        (default 12)
 //   --eta=<0..1>                 backscatter mixture      (default 0)
 //   --sigma-back=<nm>            backscatter sigma        (default sigma)
-//   --threads=<n>                worker threads; 0 = all cores (default 1)
+//   --threads=<n>                threads fracturing shapes/cells side by
+//                                side; 0 = all cores (default 1)
 //   --budget-ms=<ms>             per-shape time budget; 0 = none (default 0)
 //   --nmax=<n>                   max refinement iterations  (default 1500)
 //   --strict                     fail shapes instead of degrading them
@@ -404,12 +405,10 @@ int main(int argc, char** argv) {
       gdsOutPath = value;
       if (gdsOutPath.empty()) error = "must be a path";
     } else if (key == "--threads") {
-      // 0 = hardware concurrency; the knob drives both the per-shape job
-      // parallelism and the in-problem scan parallelism.
+      // 0 = hardware concurrency; the knob spreads shapes (or cells)
+      // across threads, each shape itself is fractured serially.
       if (!parseInt(value, config.threads) || config.threads < 0) {
         error = "must be an integer >= 0 (0 = all cores)";
-      } else {
-        config.params.numThreads = config.threads;
       }
     } else if (key == "--svg") {
       svgPath = value;
@@ -877,7 +876,7 @@ int main(int argc, char** argv) {
     }
     haveCounters = true;
   } else {
-    result = fractureLayout(shapes, config);
+    result = fractureLayoutParallel(shapes, config);
   }
 
   if (orderForWriter) {
