@@ -560,17 +560,46 @@ Status parseGds(std::istream& is, GdsLibrary& out) {
           if (n >= 3) {
             curAref.origin.x = r.i32();
             curAref.origin.y = r.i32();
-            const std::int32_t cx = r.i32();
-            const std::int32_t cy = r.i32();
-            const std::int32_t rx = r.i32();
-            const std::int32_t ry = r.i32();
-            if (curAref.columns > 0) {
-              curAref.columnPitch = {(cx - curAref.origin.x) / curAref.columns,
-                                     (cy - curAref.origin.y) / curAref.columns};
+            const Point origin = curAref.origin;
+            const Point colCorner{r.i32(), r.i32()};
+            const Point rowCorner{r.i32(), r.i32()};
+            // The pitch is the corner displacement over the count, in
+            // int64 (the difference of two int32 overflows int32). A
+            // span that is not an exact multiple of the count would
+            // place instances off the written grid, so it is refused.
+            const auto pitch = [&](Point corner, int count,
+                                   const char* what, Point& out) {
+              const std::int64_t dx = std::int64_t{corner.x} - origin.x;
+              const std::int64_t dy = std::int64_t{corner.y} - origin.y;
+              const std::string span = "AREF XY: the " + std::string(what) +
+                                       " span (" + std::to_string(dx) +
+                                       ", " + std::to_string(dy) + ") ";
+              if (dx % count != 0 || dy % count != 0) {
+                return span + "is not an exact multiple of its " +
+                       std::to_string(count) + " " + what + "s";
+              }
+              const std::int64_t px = dx / count;
+              const std::int64_t py = dy / count;
+              if (px != static_cast<std::int32_t>(px) ||
+                  py != static_cast<std::int32_t>(py)) {
+                return span + "gives a pitch outside int32";
+              }
+              out = {static_cast<std::int32_t>(px),
+                     static_cast<std::int32_t>(py)};
+              return std::string();
+            };
+            std::string problem;
+            if (r.ok && curAref.columns > 0) {
+              problem = pitch(colCorner, curAref.columns, "column",
+                              curAref.columnPitch);
             }
-            if (curAref.rows > 0) {
-              curAref.rowPitch = {(rx - curAref.origin.x) / curAref.rows,
-                                  (ry - curAref.origin.y) / curAref.rows};
+            if (r.ok && problem.empty() && curAref.rows > 0) {
+              problem = pitch(rowCorner, curAref.rows, "row",
+                              curAref.rowPitch);
+            }
+            if (!problem.empty()) {
+              return Status(StatusCode::kUnsupported, problem)
+                  .withOffset(recordStart);
             }
             r.skip(payload - 24);
           }

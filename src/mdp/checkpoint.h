@@ -1,11 +1,13 @@
-// Journaled batch fracturing (DESIGN.md section 14). A journaled run
-// appends one serialized ShapeRecord — shots, quality stats, the causal
-// Status — to a support/journal file the moment each shape completes;
-// `--resume` replays every intact record, fractures only the missing
-// shapes, and merges both populations in input order, so an
-// interrupted-then-resumed run produces byte-identical final output to
-// an uninterrupted one (tested at 1/4/8 threads and against SIGKILL at
-// randomized points in tests/crash_drill_test.cpp).
+// Result-journal records (DESIGN.md sections 14 and 19). Every journaled
+// run -- flat or hierarchical, single process or --isolate worker --
+// executes a plan of units (mdp/hierarchy) and appends one CellRecord
+// the moment a unit's last shape completes; `--resume` replays every
+// intact record, fractures only the missing units, and converges
+// byte-identically to an uninterrupted run (tested at 1/4/8 threads and
+// against SIGKILL at every frame in tests/crash_drill_test.cpp and
+// tests/hier_drill_test.cpp). A ShapeRecord is the per-shape payload
+// inside a CellRecord and a cell-cache entry, never a journal frame of
+// its own.
 #pragma once
 
 #include <string>
@@ -18,9 +20,8 @@
 
 namespace mbf {
 
-/// One journaled unit of work: a shape's solution and report, addressed
-/// by its index in the ORIGINAL layout (shard-invariant, so per-worker
-/// journals merge without translation).
+/// One shape's solution and report, addressed by its index inside the
+/// enclosing CellRecord or cell-cache entry.
 struct ShapeRecord {
   int shapeIndex = -1;
   Solution solution;
@@ -35,20 +36,22 @@ struct ShapeRecord {
 std::string encodeShapeRecord(const ShapeRecord& record);
 Status decodeShapeRecord(std::string_view bytes, ShapeRecord& out);
 
-/// Fingerprint of a run, stored as the journal's header meta: shape
-/// count, index base, and an FNV-1a hash over every ring vertex and the
-/// result-relevant FractureParams. Resume refuses a journal whose
-/// fingerprint differs — replaying records of a different layout or
-/// parameter set would silently corrupt the output.
+/// Manifest fingerprint of a run: shape count, index base, and an FNV-1a
+/// hash over every ring vertex and the result-relevant FractureParams.
+/// `mbf_cli --verify` recomputes it over the re-read input to prove the
+/// audit compares against the right layout and parameters. (Builds
+/// before the plan executor also used it as the header of flat
+/// ShapeRecord journals; a resume refuses such a journal by this
+/// "mbf-shape-journal" prefix.)
 std::string journalMetaFor(const std::vector<LayoutShape>& shapes,
                            const BatchConfig& config);
 
-/// One journaled unit of hierarchical work: a unique cell's complete
-/// fracture result, addressed by its index in the hierarchy plan (the
-/// first-visit order of unique cells under the top structure) and
-/// stamped with the cell-cache content key so replay can prove the
-/// record still describes the cell it claims to. Reports carry
-/// cell-local shape indices; instantiation re-stamps them.
+/// The one journal record: a plan unit's complete fracture result,
+/// addressed by its index in the plan (unique cells in first-visit order
+/// for a GDS hierarchy, layout order for a flat layout) and stamped with
+/// the unit's content key so replay can prove the record still
+/// describes the unit it claims to. Instantiation re-stamps the report
+/// statuses with flat layout indices.
 struct CellRecord {
   int cellIndex = -1;
   std::string key;  ///< cellFractureKey of the cell's shapes + config
@@ -56,32 +59,31 @@ struct CellRecord {
   std::vector<ShapeReport> reports;
 };
 
-/// Binary serialization of a CellRecord. The frame starts with version
-/// byte 2 where ShapeRecord frames start with 1, so the two record
-/// kinds are self-discriminating inside one journal stream: decoding a
-/// frame with the wrong decoder fails cleanly instead of misreading.
+/// Binary serialization of a CellRecord: version byte 2, the unit index,
+/// the key, then one nested ShapeRecord per shape. A ShapeRecord starts
+/// with version byte 1, so neither decoder misreads the other's bytes.
 std::string encodeCellRecord(const CellRecord& record);
 Status decodeCellRecord(std::string_view bytes, CellRecord& out);
 
-/// Header meta for a cell-level journal: cell count, the [begin, end)
-/// cell range this journal covers (workers journal a shard; the parent
-/// journal covers 0:n), the top structure, and an FNV-1a hash over the
-/// top name and every cell's content key in plan order. The keys
-/// already commit to the cell geometry and the result-relevant
-/// FractureParams, so a parameter or layout change reshapes the
-/// fingerprint exactly like journalMetaFor does for flat runs.
+/// Header meta of a journal: unit count, the [begin, end) unit range
+/// this journal covers (workers journal a shard; the parent journal
+/// covers 0:n), the top structure (empty for a flat layout), and an
+/// FNV-1a hash over the top name and every unit's content key in plan
+/// order. The keys already commit to the geometry and the
+/// result-relevant FractureParams, so a parameter or layout change
+/// reshapes the fingerprint and a resume refuses the journal.
 std::string cellJournalMetaFor(const std::string& topStruct,
                                const std::vector<std::string>& cellKeys,
                                int cellBegin, int cellEnd);
 
 /// Crash-recovery bookkeeping surfaced in the mbf_cli degradation
-/// report. The journal layer fills the first three; the supervisor
+/// report. The plan executor fills the first five; the supervisor
 /// (mdp/supervisor) fills the rest.
 struct RunCounters {
   int resumedShapes = 0;   ///< replayed from the journal, not recomputed
-  int freshShapes = 0;     ///< fractured by this process
-  int resumedCells = 0;    ///< hier: unique cells replayed from the journal
-  int freshCells = 0;      ///< hier: unique cells fractured this run
+  int freshShapes = 0;     ///< fractured this run
+  int resumedCells = 0;    ///< plan units replayed from the journal
+  int freshCells = 0;      ///< plan units fractured this run
   bool tornTail = false;   ///< recovery truncated a partial record
   int retriedRanges = 0;   ///< worker ranges relaunched after a failure
   int bisectedRanges = 0;  ///< failing ranges split to localize a culprit
@@ -100,27 +102,5 @@ struct RunCounters {
   /// its seal was dropped. A later --resume recomputes what is missing.
   bool journalDowngraded = false;
 };
-
-struct JournaledRunOptions {
-  std::string journalPath;
-  /// Replay an existing journal before fracturing (a missing journal
-  /// file is not an error — the run is simply fresh).
-  bool resume = false;
-  JournalFsync fsync = JournalFsync::kNone;
-};
-
-/// fractureLayoutParallel with a write-ahead result journal: identical
-/// merge semantics (the two share mergeBatchAggregates), plus one
-/// journal append per completed shape from the worker threads. Errors
-/// (unopenable journal, fingerprint mismatch, append failure) are
-/// returned as a Status; `out` still holds whatever completed.
-/// Journal-replayed shapes carry no RefinerStats (the journal stores
-/// results, not profiling), so a resumed run's perf aggregates cover
-/// only the freshly fractured shapes.
-Status fractureLayoutJournaled(const std::vector<LayoutShape>& shapes,
-                               const BatchConfig& config,
-                               const JournaledRunOptions& options,
-                               BatchResult& out,
-                               RunCounters* countersOut = nullptr);
 
 }  // namespace mbf

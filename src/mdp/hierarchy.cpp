@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <map>
 #include <mutex>
 #include <unordered_map>
 #include <unordered_set>
@@ -267,6 +268,92 @@ void instantiatePlan(const HierPlan& plan,
   mergeBatchAggregates(out.batch, {});
 }
 
+/// What a run knows per plan cell: its result and whether it is final.
+struct PlanProgress {
+  explicit PlanProgress(const HierPlan& plan)
+      : fractures(plan.cells.size()), done(plan.cells.size(), 0) {}
+  std::vector<CellFracture> fractures;
+  std::vector<char> done;
+  std::vector<std::string> fallbackKeys;  ///< see fallbackKeyFor
+};
+
+/// Creates the plan journal covering cells [begin, end), or on resume
+/// opens it and installs every replayed record into `progress`.
+/// Records address cells by plan index; duplicates keep the first copy
+/// — both are results of the same deterministic computation. CRC
+/// framing already passed; a record that then fails decoding or plan
+/// validation is not ours and fails the resume.
+Status openPlanJournal(const HierPlan& plan, const BatchConfig& config,
+                       const HierOptions& options, int begin, int end,
+                       JournalWriter& journal, PlanProgress& progress,
+                       RunCounters& counters) {
+  std::vector<std::string> keys;
+  keys.reserve(plan.cells.size());
+  for (const HierPlan::Cell& cell : plan.cells) keys.push_back(cell.key);
+  const std::string meta =
+      cellJournalMetaFor(plan.topStruct, keys, begin, end);
+  if (!options.resume) {
+    return journal.create(options.journalPath, meta, options.fsync);
+  }
+  std::vector<std::string> replayed;
+  JournalRecoveryStats rstats;
+  Status status = journal.openForAppend(options.journalPath, meta,
+                                        options.fsync, replayed, &rstats);
+  counters.tornTail = rstats.tornTail;
+  if (status.code() == StatusCode::kInvalidArgument) {
+    // Name the one foreign journal an operator is likely to hold: a
+    // flat run of an older build journaled per-shape frames under a
+    // journalMetaFor header. Journals are run-scoped, never migrated.
+    std::string storedMeta;
+    std::vector<std::string> ignored;
+    if (recoverJournal(options.journalPath, storedMeta, ignored).ok() &&
+        storedMeta.rfind("mbf-shape-journal", 0) == 0) {
+      return Status(StatusCode::kUnsupported,
+                    "journal '" + options.journalPath +
+                        "' is an older build's per-shape (ShapeRecord) "
+                        "journal; journals are run-scoped, not archival: "
+                        "delete it and rerun");
+    }
+  }
+  if (!status.ok()) return status;
+  for (const std::string& bytes : replayed) {
+    CellRecord record;
+    Status dec = decodeCellRecord(bytes, record);
+    if (!dec.ok()) return dec;
+    Status valid =
+        validateCellRecord(plan, config, record, progress.fallbackKeys);
+    if (!valid.ok()) return valid;
+    const auto c = static_cast<std::size_t>(record.cellIndex);
+    if (progress.done[c] != 0) continue;
+    progress.fractures[c].solutions = std::move(record.solutions);
+    progress.fractures[c].reports = std::move(record.reports);
+    progress.done[c] = 1;
+    ++counters.resumedCells;
+    counters.resumedShapes += static_cast<int>(plan.cells[c].shapes.size());
+  }
+  return {};
+}
+
+/// Closes the journal — a failed ::close() under kEachRecord can mean
+/// the last records never became durable, so it joins `appendError` —
+/// then seals a complete, undowngraded journal with its SHA-256 sidecar
+/// (what the supervisor and --verify trust) or drops any stale seal so
+/// nothing ever trusts an incomplete journal as a finished run. Returns
+/// only a failure to write the seal.
+Status closePlanJournal(JournalWriter& journal, const std::string& path,
+                        bool complete, Status& appendError) {
+  Status closed = journal.closeChecked();
+  if (!closed.ok() && appendError.ok()) appendError = closed;
+  if (appendError.ok() && complete) {
+    std::string hexDigest;
+    Status sealed = sha256File(path, hexDigest);
+    if (sealed.ok()) sealed = writeHashSidecar(path, hexDigest);
+    return sealed;
+  }
+  sysio::unlink(sidecarPathFor(path).c_str());
+  return {};
+}
+
 }  // namespace
 
 Status hierarchicalInstanceShapes(const GdsLibrary& lib,
@@ -340,21 +427,31 @@ Status planGdsHierarchy(const GdsLibrary& lib, const BatchConfig& config,
   return {};
 }
 
-Status fractureGdsHierarchical(const GdsLibrary& lib,
-                               const BatchConfig& config,
-                               const HierOptions& options,
-                               HierarchicalResult& out,
-                               RunCounters* countersOut) {
+void planFlatLayout(std::vector<LayoutShape> shapes,
+                    const BatchConfig& config, HierPlan& out) {
+  out = HierPlan{};
+  out.instancesExpanded = static_cast<std::int64_t>(shapes.size());
+  out.cells.reserve(shapes.size());
+  out.instances.reserve(shapes.size());
+  for (LayoutShape& shape : shapes) {
+    std::vector<LayoutShape> unit;
+    unit.push_back(std::move(shape));
+    std::string key = cellFractureKey(unit, config);
+    out.instances.push_back(
+        HierPlan::Instance{static_cast<int>(out.cells.size()), Point{0, 0}});
+    out.cells.push_back(HierPlan::Cell{std::move(unit), std::move(key)});
+  }
+}
+
+Status executePlan(const HierPlan& plan, const BatchConfig& config,
+                   const HierOptions& options, HierarchicalResult& out,
+                   RunCounters* countersOut) {
   const auto start = std::chrono::steady_clock::now();
   out = HierarchicalResult{};
-  RunCounters counters;
-
-  HierPlan plan;
-  Status status = planGdsHierarchy(lib, config, options.topStruct, plan);
-  if (!status.ok()) return status;
   out.topStruct = plan.topStruct;
   out.reachableCells = plan.reachableCells;
   out.instancesExpanded = plan.instancesExpanded;
+  RunCounters counters;
 
   const int numCells = static_cast<int>(plan.cells.size());
   const bool workerShard = options.cellBegin >= 0;
@@ -365,59 +462,28 @@ Status fractureGdsHierarchical(const GdsLibrary& lib,
     return Status(StatusCode::kInvalidArgument,
                   "cell range " + std::to_string(shardBegin) + ":" +
                       std::to_string(shardEnd) + " is outside the plan's " +
-                      std::to_string(numCells) + " unique cells");
+                      std::to_string(numCells) + " cells");
   }
 
-  std::vector<CellFracture> fractures(static_cast<std::size_t>(numCells));
-  std::vector<char> done(static_cast<std::size_t>(numCells), 0);
-  std::vector<std::string> fallbackKeys;
-
-  // Cell-level journal: open/replay before any fracturing, so a resumed
-  // run knows which cells are already finished work.
+  PlanProgress progress(plan);
   const bool journaled = !options.journalPath.empty();
   JournalWriter journal;
   if (journaled) {
-    std::vector<std::string> keys;
-    keys.reserve(plan.cells.size());
-    for (const HierPlan::Cell& cell : plan.cells) keys.push_back(cell.key);
-    const std::string meta =
-        cellJournalMetaFor(plan.topStruct, keys, shardBegin, shardEnd);
-    std::vector<std::string> replayed;
-    if (options.resume) {
-      JournalRecoveryStats rstats;
-      status = journal.openForAppend(options.journalPath, meta,
-                                     options.fsync, replayed, &rstats);
-      counters.tornTail = rstats.tornTail;
-    } else {
-      status = journal.create(options.journalPath, meta, options.fsync);
-    }
+    // Open/replay before any fracturing, so a resumed run knows which
+    // cells are already finished work.
+    Status status = openPlanJournal(plan, config, options, shardBegin,
+                                    shardEnd, journal, progress, counters);
     if (!status.ok()) return status;
-
-    // Replay. Records address cells by plan index; duplicates keep the
-    // first copy — both are results of the same deterministic
-    // computation. CRC framing already passed; a record that then fails
-    // decoding or plan validation is not ours and fails the resume.
-    for (const std::string& bytes : replayed) {
-      CellRecord record;
-      Status dec = decodeCellRecord(bytes, record);
-      if (!dec.ok()) return dec;
-      Status valid = validateCellRecord(plan, config, record, fallbackKeys);
-      if (!valid.ok()) return valid;
-      const auto c = static_cast<std::size_t>(record.cellIndex);
-      if (done[c] != 0) continue;
-      fractures[c].solutions = std::move(record.solutions);
-      fractures[c].reports = std::move(record.reports);
-      done[c] = 1;
-      ++counters.resumedCells;
-      counters.resumedShapes += static_cast<int>(plan.cells[c].shapes.size());
-    }
   }
+  std::vector<CellFracture>& fractures = progress.fractures;
+  std::vector<char>& done = progress.done;
 
   // Journal appends come from the coordinating thread (cache hits) AND
   // from helper threads (the last shape of a fracturing cell); append()
-  // itself is thread-safe, the degrade ladder mirrors
-  // fractureLayoutJournaled: the first failed append downgrades the run
-  // to unjournaled completion.
+  // itself is thread-safe. Degrade, don't die: the first failed append
+  // downgrades the run to unjournaled completion — remaining cells still
+  // fracture and ship, we just stop issuing appends a full filer would
+  // fail one by one.
   std::mutex appendErrorMutex;
   Status appendError;
   std::atomic<bool> journalBroken{false};
@@ -465,113 +531,89 @@ Status fractureGdsHierarchical(const GdsLibrary& lib,
     missCells.push_back(i);
   }
 
-  // Fracture every missing cell's shapes as ONE parallelFor batch,
-  // mirroring fractureLayoutParallel exactly (same guarded path, same
-  // shapeIndexBase + position indices — which is what keeps
-  // hierarchical output byte-identical to the unjournaled driver). A
+  // Each cell shape is fractured under the flat index its cell's FIRST
+  // instance gives it, whatever process or shard fractures it — the
+  // index budgets, degradation reports and fault injection address.
+  std::vector<int> firstIndex(static_cast<std::size_t>(numCells), -1);
+  int flatIndex = config.shapeIndexBase;
+  for (const HierPlan::Instance& inst : plan.instances) {
+    const auto c = static_cast<std::size_t>(inst.cell);
+    if (firstIndex[c] < 0) firstIndex[c] = flatIndex;
+    flatIndex += static_cast<int>(plan.cells[c].shapes.size());
+  }
+
+  // Fracture every missing cell's shapes as ONE parallelFor batch. A
   // cell's CellRecord is appended the moment its LAST shape completes;
   // interrupted cells are never journaled — a later resume re-fractures
   // them instead of replaying unfinished work.
-  std::vector<LayoutShape> missShapes;
   std::vector<std::pair<int, int>> missSlot;  // (cell, cell-local shape)
-  for (const int cellIdx : missCells) {
-    const auto c = static_cast<std::size_t>(cellIdx);
-    const std::size_t n = plan.cells[c].shapes.size();
-    fractures[c].solutions.resize(n);
-    fractures[c].reports.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      missShapes.push_back(plan.cells[c].shapes[i]);
-      missSlot.emplace_back(cellIdx, static_cast<int>(i));
-    }
-  }
-  std::vector<RefinerStats> shapeStats(missShapes.size());
   std::vector<std::atomic<int>> cellRemaining(
       static_cast<std::size_t>(numCells));
   std::vector<std::atomic<bool>> cellInterrupted(
       static_cast<std::size_t>(numCells));
   for (const int cellIdx : missCells) {
     const auto c = static_cast<std::size_t>(cellIdx);
-    cellRemaining[c].store(static_cast<int>(plan.cells[c].shapes.size()),
-                           std::memory_order_relaxed);
+    const std::size_t n = plan.cells[c].shapes.size();
+    fractures[c].solutions.resize(n);
+    fractures[c].reports.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      missSlot.emplace_back(cellIdx, static_cast<int>(i));
+    }
+    cellRemaining[c].store(static_cast<int>(n), std::memory_order_relaxed);
     cellInterrupted[c].store(false, std::memory_order_relaxed);
   }
-  if (!missShapes.empty()) {
-    parallelFor(0, static_cast<int>(missShapes.size()), config.threads, 1,
-                [&](int k) {
-      const auto s = static_cast<std::size_t>(k);
-      ShapeOutcome outcome = fractureShapeGuarded(
-          missShapes[s], config.params, config.method,
-          config.shapeIndexBase + k, config.allowDegradation,
-          &shapeStats[s], config.fallbackOnly);
-      const int cellIdx = missSlot[s].first;
-      const auto c = static_cast<std::size_t>(cellIdx);
-      const auto local = static_cast<std::size_t>(missSlot[s].second);
-      if (outcome.interrupted) {
-        cellInterrupted[c].store(true, std::memory_order_relaxed);
-      }
-      fractures[c].solutions[local] = std::move(outcome.solution);
-      fractures[c].reports[local] = {std::move(outcome.status),
-                                     outcome.degraded, outcome.interrupted};
-      // acq_rel: the thread finishing the cell's last shape observes
-      // every sibling slot written before their decrements.
-      if (cellRemaining[c].fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-          !cellInterrupted[c].load(std::memory_order_relaxed)) {
-        appendCellRecord(cellIdx);
-      }
-    });
-    for (const int cellIdx : missCells) {
-      done[static_cast<std::size_t>(cellIdx)] = 1;
+  std::vector<RefinerStats> shapeStats(missSlot.size());
+  parallelFor(0, static_cast<int>(missSlot.size()), config.threads, 1,
+              [&](int k) {
+    const auto s = static_cast<std::size_t>(k);
+    const int cellIdx = missSlot[s].first;
+    const auto c = static_cast<std::size_t>(cellIdx);
+    const int local = missSlot[s].second;
+    ShapeOutcome outcome = fractureShapeGuarded(
+        plan.cells[c].shapes[static_cast<std::size_t>(local)], config.params,
+        config.method, firstIndex[c] + local, config.allowDegradation,
+        &shapeStats[s], config.fallbackOnly);
+    if (outcome.interrupted) {
+      cellInterrupted[c].store(true, std::memory_order_relaxed);
     }
-  }
+    fractures[c].solutions[static_cast<std::size_t>(local)] =
+        std::move(outcome.solution);
+    fractures[c].reports[static_cast<std::size_t>(local)] = {
+        std::move(outcome.status), outcome.degraded, outcome.interrupted};
+    // acq_rel: the thread finishing the cell's last shape observes
+    // every sibling slot written before their decrements.
+    if (cellRemaining[c].fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+        !cellInterrupted[c].load(std::memory_order_relaxed)) {
+      appendCellRecord(cellIdx);
+    }
+  });
 
   bool anyInterrupted = false;
   for (const int cellIdx : missCells) {
-    if (cellInterrupted[static_cast<std::size_t>(cellIdx)].load(
-            std::memory_order_relaxed)) {
+    const auto c = static_cast<std::size_t>(cellIdx);
+    done[c] = 1;
+    if (cellInterrupted[c].load(std::memory_order_relaxed)) {
       anyInterrupted = true;
     }
   }
 
   if (journaled) {
-    // A failed ::close() under kEachRecord can mean the last records
-    // never became durable — it holds back the seal like an append
-    // error (same contract as fractureLayoutJournaled).
-    Status closed = journal.closeChecked();
-    if (!closed.ok() && appendError.ok()) {
-      journalBroken.store(true, std::memory_order_relaxed);
-      appendError = closed;
-    }
+    Status sealed = closePlanJournal(journal, options.journalPath,
+                                     !anyInterrupted, appendError);
     counters.journalDowngraded = !appendError.ok();
-    if (appendError.ok() && !anyInterrupted) {
-      std::string hexDigest;
-      Status sealed = sha256File(options.journalPath, hexDigest);
-      if (sealed.ok()) {
-        sealed = writeHashSidecar(options.journalPath, hexDigest);
-      }
-      if (!sealed.ok()) return sealed;
-    } else {
-      // Incomplete or downgraded: drop any stale seal so nothing ever
-      // trusts this journal as a finished run.
-      sysio::unlink(sidecarPathFor(options.journalPath).c_str());
-    }
+    if (!sealed.ok()) return sealed;
   }
 
   out.uniqueCellsFractured = static_cast<int>(missCells.size());
-  out.uniqueShapesFractured = static_cast<int>(missShapes.size());
+  out.uniqueShapesFractured = static_cast<int>(missSlot.size());
   counters.freshCells = static_cast<int>(missCells.size());
-  counters.freshShapes = static_cast<int>(missShapes.size());
+  counters.freshShapes = static_cast<int>(missSlot.size());
   if (useCache) {
     out.cellCacheHits = cache.stats().hits;
     out.cellCacheMisses = cache.stats().misses;
     out.cellCacheRejected = cache.stats().rejected;
   } else {
     out.cellCacheMisses = static_cast<int>(missCells.size());
-  }
-  for (int i = shardBegin; i < shardEnd; ++i) {
-    for (const Solution& sol :
-         fractures[static_cast<std::size_t>(i)].solutions) {
-      out.uniqueFailingPixels += sol.failingPixels();
-    }
   }
 
   // Store freshly fractured cells — but only CLEAN ones. A degraded or
@@ -596,8 +638,6 @@ Status fractureGdsHierarchical(const GdsLibrary& lib,
                         fracture);
       if (cache.disabled()) break;  // further stores are no-ops anyway
     }
-  }
-  if (useCache) {
     out.cellCacheIoErrors = cache.stats().ioErrors;
     out.cellCacheEvicted = cache.stats().evicted;
     out.cellCacheEvictionsSkippedLive = cache.stats().evictionsSkippedLive;
@@ -640,74 +680,54 @@ Status fractureGdsHierarchical(const GdsLibrary& lib,
   if (countersOut != nullptr) *countersOut = counters;
 
   // An append failure does not invalidate the in-memory batch, but the
-  // journal is no longer a faithful checkpoint — surface it exactly
-  // like fractureLayoutJournaled does.
+  // journal is no longer a faithful checkpoint — surface it. Callers
+  // read countersOut->journalDowngraded to keep the completed work.
   return appendError;
 }
 
-Status fractureGdsHierarchicalSupervised(
-    const GdsLibrary& lib, const BatchConfig& config,
-    const HierOptions& options, SupervisorConfig supervisor,
-    HierarchicalResult& out, RunCounters& counters, bool& interrupted,
-    std::string& abortCause, std::vector<int>& isolatedCells) {
-  const auto start = std::chrono::steady_clock::now();
+Status fractureGdsHierarchical(const GdsLibrary& lib,
+                               const BatchConfig& config,
+                               const HierOptions& options,
+                               HierarchicalResult& out,
+                               RunCounters* countersOut) {
   out = HierarchicalResult{};
-  counters = RunCounters{};
-  interrupted = false;
-  abortCause.clear();
-  isolatedCells.clear();
-
   HierPlan plan;
   Status status = planGdsHierarchy(lib, config, options.topStruct, plan);
   if (!status.ok()) return status;
+  return executePlan(plan, config, options, out, countersOut);
+}
+
+Status executePlanSupervised(const HierPlan& plan, const BatchConfig& config,
+                             const HierOptions& options,
+                             SupervisorConfig supervisor,
+                             HierarchicalResult& out, RunCounters& counters,
+                             std::string& abortCause,
+                             std::vector<int>& isolatedCells) {
+  const auto start = std::chrono::steady_clock::now();
+  out = HierarchicalResult{};
   out.topStruct = plan.topStruct;
   out.reachableCells = plan.reachableCells;
   out.instancesExpanded = plan.instancesExpanded;
+  counters = RunCounters{};
+  abortCause.clear();
+  isolatedCells.clear();
 
   const int numCells = static_cast<int>(plan.cells.size());
-  std::vector<CellFracture> fractures(static_cast<std::size_t>(numCells));
-  std::vector<char> done(static_cast<std::size_t>(numCells), 0);
-  std::vector<std::string> fallbackKeys;
-
+  PlanProgress progress(plan);
   // Parent journal: replayed before sharding so the supervisor is
   // handed only the MISSING cell ranges.
   const bool journaled = !options.journalPath.empty();
   JournalWriter journal;
   if (journaled) {
-    std::vector<std::string> keys;
-    keys.reserve(plan.cells.size());
-    for (const HierPlan::Cell& cell : plan.cells) keys.push_back(cell.key);
-    const std::string meta =
-        cellJournalMetaFor(plan.topStruct, keys, 0, numCells);
-    std::vector<std::string> replayed;
-    if (options.resume) {
-      JournalRecoveryStats rstats;
-      status = journal.openForAppend(options.journalPath, meta,
-                                     options.fsync, replayed, &rstats);
-      counters.tornTail = rstats.tornTail;
-    } else {
-      status = journal.create(options.journalPath, meta, options.fsync);
-    }
+    Status status = openPlanJournal(plan, config, options, 0, numCells,
+                                    journal, progress, counters);
     if (!status.ok()) return status;
-    for (const std::string& bytes : replayed) {
-      CellRecord record;
-      Status dec = decodeCellRecord(bytes, record);
-      if (!dec.ok()) return dec;
-      Status valid = validateCellRecord(plan, config, record, fallbackKeys);
-      if (!valid.ok()) return valid;
-      const auto c = static_cast<std::size_t>(record.cellIndex);
-      if (done[c] != 0) continue;
-      fractures[c].solutions = std::move(record.solutions);
-      fractures[c].reports = std::move(record.reports);
-      done[c] = 1;
-      ++counters.resumedCells;
-      counters.resumedShapes += static_cast<int>(plan.cells[c].shapes.size());
-    }
   }
+  std::vector<CellFracture>& fractures = progress.fractures;
+  std::vector<char>& done = progress.done;
 
   // Contiguous runs of missing plan cells become the supervised ranges.
   std::vector<std::pair<int, int>> missingRanges;
-  int missingCells = 0;
   for (int i = 0; i < numCells;) {
     if (done[static_cast<std::size_t>(i)] != 0) {
       ++i;
@@ -716,30 +736,15 @@ Status fractureGdsHierarchicalSupervised(
     int j = i;
     while (j < numCells && done[static_cast<std::size_t>(j)] == 0) ++j;
     missingRanges.emplace_back(i, j);
-    missingCells += j - i;
     i = j;
   }
 
-  bool journalDowngraded = false;
-  if (missingCells > 0) {
-    supervisor.numShapes = numCells;
-    supervisor.hierCells = true;
+  Status appendError;
+  bool interrupted = false;
+  std::map<int, std::string> fallbackCrashes;
+  if (!missingRanges.empty()) {
+    supervisor.numUnits = numCells;
     supervisor.initialRanges = missingRanges;
-    // Workers replan the identical hierarchy (the resolved top rides
-    // along so auto-detection cannot diverge) and own ALL cell-cache
-    // I/O — the parent never opens the cache, so its cache stats stay
-    // zero by design.
-    supervisor.workerArgs.push_back("--hier");
-    supervisor.workerArgs.push_back("--top-cell=" + plan.topStruct);
-    if (!options.cellCacheDir.empty()) {
-      supervisor.workerArgs.push_back("--cell-cache=" +
-                                      options.cellCacheDir);
-      if (options.cellCacheQuotaBytes > 0) {
-        supervisor.workerArgs.push_back(
-            "--cell-cache-quota-mb=" +
-            std::to_string(options.cellCacheQuotaBytes / (1024 * 1024)));
-      }
-    }
     SupervisorResult sres = superviseFracture(supervisor);
     if (!sres.status.ok()) return sres.status;
     counters.retriedRanges = sres.counters.retriedRanges;
@@ -751,7 +756,8 @@ Status fractureGdsHierarchicalSupervised(
     counters.staleTempsRemoved = sres.counters.staleTempsRemoved;
     interrupted = sres.interrupted;
     abortCause = sres.abortCause;
-    isolatedCells = sres.isolatedShapes;  // plan cell indices in hier mode
+    isolatedCells = sres.isolatedUnits;
+    fallbackCrashes = std::move(sres.fallbackCrashes);
     out.workerSpans = std::move(sres.workerSpans);
 
     // Install every harvested record that provably matches the plan
@@ -762,12 +768,12 @@ Status fractureGdsHierarchicalSupervised(
     for (auto& kv : sres.cellRecords) {
       const auto c = static_cast<std::size_t>(kv.first);
       if (kv.first < 0 || kv.first >= numCells || done[c] != 0) continue;
-      if (!validateCellRecord(plan, config, kv.second, fallbackKeys).ok()) {
+      if (!validateCellRecord(plan, config, kv.second, progress.fallbackKeys)
+               .ok()) {
         continue;
       }
-      if (journaled && !journalDowngraded) {
-        const Status appended = journal.append(encodeCellRecord(kv.second));
-        if (!appended.ok()) journalDowngraded = true;
+      if (journaled && appendError.ok()) {
+        appendError = journal.append(encodeCellRecord(kv.second));
       }
       fractures[c].solutions = std::move(kv.second.solutions);
       fractures[c].reports = std::move(kv.second.reports);
@@ -781,75 +787,65 @@ Status fractureGdsHierarchicalSupervised(
   for (int i = 0; i < numCells; ++i) {
     if (done[static_cast<std::size_t>(i)] == 0) allDone = false;
   }
-
   if (journaled) {
-    Status closed = journal.closeChecked();
-    if (!closed.ok()) journalDowngraded = true;
-    counters.journalDowngraded = journalDowngraded;
-    if (!journalDowngraded && !interrupted && abortCause.empty() &&
-        allDone) {
-      std::string hexDigest;
-      Status sealed = sha256File(options.journalPath, hexDigest);
-      if (sealed.ok()) {
-        sealed = writeHashSidecar(options.journalPath, hexDigest);
-      }
-      if (!sealed.ok()) return sealed;
-    } else {
-      sysio::unlink(sidecarPathFor(options.journalPath).c_str());
-    }
+    Status sealed =
+        closePlanJournal(journal, options.journalPath,
+                         !interrupted && abortCause.empty() && allDone,
+                         appendError);
+    counters.journalDowngraded = !appendError.ok();
+    if (!sealed.ok()) return sealed;
   }
 
-  // Hole-fill missing cells so every INSTANCE still gets a record,
-  // classified exactly like the flat supervisor classifies unjournaled
-  // shapes: abort cause, graceful drain, or supervisor bug.
+  // Hole-fill missing cells so every INSTANCE still gets a record:
+  // a culprit whose fallback-only worker died too, the abort cause, the
+  // graceful drain, or a supervisor bug.
   for (int i = 0; i < numCells; ++i) {
     const auto c = static_cast<std::size_t>(i);
     if (done[c] != 0) continue;
     const std::size_t n = plan.cells[c].shapes.size();
     fractures[c].solutions.assign(n, Solution{});
     fractures[c].reports.assign(n, ShapeReport{});
+    const auto crash = fallbackCrashes.find(i);
     for (std::size_t j = 0; j < n; ++j) {
       Solution& sol = fractures[c].solutions[j];
       ShapeReport& report = fractures[c].reports[j];
       sol.method = "empty";
-      if (!abortCause.empty()) {
+      if (crash != fallbackCrashes.end()) {
+        sol.degraded = true;
+        report.degraded = true;
+        report.status = Status(StatusCode::kExecFault,
+                               "worker crashed even in fallback-only mode (" +
+                                   crash->second + ")");
+      } else if (!abortCause.empty()) {
         sol.degraded = true;
         report.degraded = true;
         report.status = Status(
             StatusCode::kResourceExhausted,
-            "run aborted before any worker fractured this cell (" +
+            "run aborted before any worker fractured this shape (" +
                 abortCause + ")");
       } else if (interrupted) {
         report.interrupted = true;
         report.status = Status(
             StatusCode::kBudgetExceeded,
-            "interrupted before any worker fractured this cell (graceful "
+            "interrupted before any worker fractured this shape (graceful "
             "drain); resume the run to finish it");
       } else {
         sol.degraded = true;
         report.degraded = true;
         report.status = Status(StatusCode::kInternal,
-                               "cell was never journaled by any worker");
+                               "shape was never journaled by any worker");
       }
     }
   }
 
   out.uniqueCellsFractured = counters.freshCells;
-  int freshShapeCount = counters.freshShapes;
-  out.uniqueShapesFractured = freshShapeCount;
-  for (int i = 0; i < numCells; ++i) {
-    for (const Solution& sol :
-         fractures[static_cast<std::size_t>(i)].solutions) {
-      out.uniqueFailingPixels += sol.failingPixels();
-    }
-  }
-
+  out.uniqueShapesFractured = counters.freshShapes;
   instantiatePlan(plan, fractures, config, out);
   out.wallSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   out.batch.wallSeconds = out.wallSeconds;
-  return {};
+  return appendError;
 }
 
 }  // namespace mbf

@@ -1,3 +1,9 @@
+// Plans and the one plan executor. A run is a PLAN of units -- the
+// unique cells of a GDS hierarchy, or one unit per shape of a flat
+// layout -- executed in one pass: replay the journal, look up the cell
+// cache, fracture the misses in one parallelFor (or in --isolate worker
+// processes), then instantiate every unit at its placements.
+//
 // Hierarchical mask fracturing: a GDSII cell referenced N times is
 // fractured ONCE and its shot list instantiated at every reference
 // offset. This is the leverage that keeps full-mask MDP tractable
@@ -28,12 +34,12 @@
 
 namespace mbf {
 
-/// The deterministic skeleton of a hierarchical run: unique cells in
-/// first-visit (DFS) order — the PLAN CELL INDEX every journal record,
-/// worker shard and supervisor range refers to — plus every instance
-/// placement. Two processes planning the same GDS under the same config
-/// produce identical plans, which is what lets a worker shard cells by
-/// index and a resumed run trust journaled indices.
+/// The deterministic skeleton of a run: units ("cells") in plan order —
+/// the PLAN CELL INDEX every journal record, worker shard and supervisor
+/// range refers to — plus every instance placement. Two processes
+/// planning the same input under the same config produce identical
+/// plans, which is what lets a worker shard cells by index and a resumed
+/// run trust journaled indices.
 struct HierPlan {
   std::string topStruct;
   int reachableCells = 0;
@@ -54,14 +60,25 @@ struct HierPlan {
   std::vector<Instance> instances;
 };
 
-/// Expands and dedupes the hierarchy without fracturing anything.
-/// Errors match fractureGdsHierarchical (unresolvable top, cycles,
-/// depth, out-of-range placements, AREF caps).
+/// Expands and dedupes the hierarchy without fracturing anything: unique
+/// cells in first-visit (DFS) order. Errors: unresolvable top, cycles,
+/// depth, out-of-range placements, AREF caps.
 Status planGdsHierarchy(const GdsLibrary& lib, const BatchConfig& config,
                         const std::string& topStruct, HierPlan& out);
 
+/// A flat layout as a one-level plan: one cell per shape, in layout
+/// order and WITHOUT content dedup, so plan cell i is flat shape i
+/// (--inject=kind@i, reports and crash isolation address it directly).
+/// Each cell has one instance at (0, 0); its key is
+/// cellFractureKey({shape}, config). topStruct stays empty.
+void planFlatLayout(std::vector<LayoutShape> shapes,
+                    const BatchConfig& config, HierPlan& out);
+
+/// Execution options of a plan (the top structure is a planning input of
+/// fractureGdsHierarchical only).
 struct HierOptions {
-  /// Top structure; empty auto-detects via findGdsTopStructure.
+  /// Top structure for fractureGdsHierarchical; empty auto-detects via
+  /// findGdsTopStructure.
   std::string topStruct;
   /// Persistent cell-fracture cache directory; empty = in-memory
   /// dedupe only (each unique cell still fractures once per run).
@@ -70,8 +87,8 @@ struct HierOptions {
   /// each store, least-recently-modified entries NOT touched by this
   /// run are evicted until under the cap (--cell-cache-quota-mb).
   std::int64_t cellCacheQuotaBytes = 0;
-  /// Cell-level result journal (DESIGN.md section 19): every completed
-  /// unique cell appends one CellRecord the moment its last shape
+  /// Result journal (DESIGN.md sections 14 and 19): every completed
+  /// plan cell appends one CellRecord the moment its last shape
   /// finishes; `resume` replays intact records and fractures only the
   /// missing cells, converging byte-identically to an uninterrupted
   /// run. Empty = unjournaled.
@@ -105,9 +122,6 @@ struct HierarchicalResult {
   int uniqueCellsFractured = 0;
   /// Shapes fractured this run (summed over fractured unique cells).
   int uniqueShapesFractured = 0;
-  /// Failing pixels summed over unique fractures (each instance prints
-  /// identically, so per-instance violations scale by instance count).
-  std::int64_t uniqueFailingPixels = 0;
   /// Persistent-cache outcome counts (all zero when no cache dir, and
   /// zero in the supervised parent — workers own all cache I/O there).
   int cellCacheHits = 0;
@@ -148,6 +162,44 @@ struct HierarchicalResult {
   }
 };
 
+/// Executes `plan`: replays options.journalPath when resuming (a journal
+/// of another plan, or a per-shape journal of an older build, is refused
+/// by name), consults the persistent cache when options.cellCacheDir is
+/// set, fractures all missing cells' shapes in one parallelFor (each
+/// shape under the flat index of its cell's first instance, so budgets,
+/// degradation and fault injection address flat layout indices),
+/// journals each cell as its last shape completes, seals the journal of
+/// a complete run, stores clean cells in the cache, and instantiates
+/// every placement. With options.cellBegin >= 0 only that cell range is
+/// fractured and nothing is instantiated (worker shard: `out.batch`
+/// concatenates the range's cell-local results). Cache I/O failures
+/// never fail the run (the cache disables itself, counted in the
+/// cellCache* fields). A journal append or close failure downgrades the
+/// run: every result is still in `out`, counters.journalDowngraded is
+/// set, and the failure is returned.
+Status executePlan(const HierPlan& plan, const BatchConfig& config,
+                   const HierOptions& options, HierarchicalResult& out,
+                   RunCounters* countersOut = nullptr);
+
+/// The supervised twin of executePlan (mbf_cli --isolate): replays the
+/// parent journal when resuming, shards the MISSING cells across worker
+/// processes via mdp/supervisor (`supervisor.workerArgs` must make each
+/// worker replan the identical plan; workers run executePlan over a
+/// --cell-range and own all cell-cache I/O), validates every harvested
+/// CellRecord against the plan keys, appends fresh records to the
+/// parent journal, fills holes, and instantiates in the parent. A hole
+/// whose fallback-only worker also died is degraded as kExecFault; the
+/// rest are named after the abort cause, the graceful drain, or a
+/// supervisor bug. `isolatedCells` receives the crash-isolated plan
+/// cell indices (flat layout indices for a flat plan). Returns
+/// supervisor-fatal errors, or the journal failure of a downgraded run.
+Status executePlanSupervised(const HierPlan& plan, const BatchConfig& config,
+                             const HierOptions& options,
+                             SupervisorConfig supervisor,
+                             HierarchicalResult& out, RunCounters& counters,
+                             std::string& abortCause,
+                             std::vector<int>& isolatedCells);
+
 /// Reconstructs the instantiated shape list (top coordinates, expansion
 /// order) without fracturing anything — the layout a flat run over the
 /// same GDS would see. Used by the --verify gate to re-derive a
@@ -159,40 +211,11 @@ Status hierarchicalInstanceShapes(const GdsLibrary& lib,
                                   std::vector<LayoutShape>& out,
                                   std::string* resolvedTop = nullptr);
 
-/// Fractures `lib` hierarchically from the resolved top: groups each
-/// REACHABLE cell's polygons into shapes, dedupes cells by content key,
-/// consults the persistent cache when options.cellCacheDir is set,
-/// fractures all missing cells in one parallelFor batch (per-shape
-/// budgets and degradation ladder apply per cell shape), and
-/// expands instances by translating the cell-local solutions. Traversal
-/// errors (no unique top, reference cycle, depth overflow, placement
-/// outside int32) return a Status naming the cell chain; `out` then
-/// holds whatever was computed and must not be shipped. Cache I/O
-/// failures (prepare, load, store) never fail the run: the cache is
-/// disabled for the remainder with a counted warning surfaced via the
-/// cellCache* result fields (degrade, don't die — section 18).
+/// planGdsHierarchy from options.topStruct, then executePlan.
 Status fractureGdsHierarchical(const GdsLibrary& lib,
                                const BatchConfig& config,
                                const HierOptions& options,
                                HierarchicalResult& out,
                                RunCounters* countersOut = nullptr);
-
-/// Supervised hierarchical fracturing (mbf_cli --hier --isolate): plans
-/// the hierarchy, replays the parent cell journal when resuming, shards
-/// the MISSING unique cells across --isolate worker processes via
-/// mdp/supervisor (workers run the journaled hierarchical driver above
-/// with --cell-range, sharing the watchdog/retry/bisect/ENOSPC-abort
-/// ladder), validates every harvested CellRecord against the plan keys,
-/// appends fresh records to the parent journal, then performs
-/// instantiation and hole-filling in the parent. `interrupted`,
-/// `abortCause` and `isolatedCells` (PLAN CELL indices, not shape
-/// indices) mirror the flat supervised run's reporting. The returned
-/// Status is only non-ok for supervisor-fatal conditions; per-cell
-/// failures degrade records instead.
-Status fractureGdsHierarchicalSupervised(
-    const GdsLibrary& lib, const BatchConfig& config,
-    const HierOptions& options, SupervisorConfig supervisor,
-    HierarchicalResult& out, RunCounters& counters, bool& interrupted,
-    std::string& abortCause, std::vector<int>& isolatedCells);
 
 }  // namespace mbf

@@ -12,7 +12,7 @@
 #include "baselines/matching_pursuit.h"
 #include "fracture/fallback.h"
 #include "fracture/model_based_fracturer.h"
-#include "parallel/parallel_for.h"
+#include "mdp/hierarchy.h"
 #include "support/fault_injector.h"
 #include "support/interrupt.h"
 #include "support/telemetry.h"
@@ -376,36 +376,12 @@ void mergeBatchAggregates(BatchResult& result,
 
 BatchResult fractureLayoutParallel(const std::vector<LayoutShape>& shapes,
                                    const BatchConfig& config) {
-  const auto start = std::chrono::steady_clock::now();
-  BatchResult result;
-  result.solutions.resize(shapes.size());
-  result.reports.resize(shapes.size());
-  std::vector<RefinerStats> shapeStats(shapes.size());
-
-  // One job per shape. Jobs write only their own output slot; the
-  // scheduler decides where a job runs, never what it computes, so any
-  // thread count produces identical solutions. The
-  // guarded path converts every per-shape failure into a degraded (or,
-  // in strict mode, empty-with-status) slot, so one bad shape never
-  // aborts the batch and parallelFor never sees an exception from here.
-  parallelFor(0, static_cast<int>(shapes.size()), config.threads, 1,
-              [&](int i) {
-    const std::size_t s = static_cast<std::size_t>(i);
-    // Reports carry the ORIGINAL layout index: tile-local i offset by
-    // the shard base (0 for a full run).
-    ShapeOutcome outcome = fractureShapeGuarded(
-        shapes[s], config.params, config.method, config.shapeIndexBase + i,
-        config.allowDegradation, &shapeStats[s], config.fallbackOnly);
-    result.solutions[s] = std::move(outcome.solution);
-    result.reports[s] = {std::move(outcome.status), outcome.degraded,
-                         outcome.interrupted};
-  });
-
-  mergeBatchAggregates(result, shapeStats);
-  result.wallSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return result;
+  HierPlan plan;
+  planFlatLayout(shapes, config, plan);
+  HierarchicalResult run;
+  // Unjournaled and uncached: nothing in the executor can fail.
+  (void)executePlan(plan, config, HierOptions{}, run);
+  return std::move(run.batch);
 }
 
 }  // namespace mbf

@@ -125,9 +125,8 @@ struct BatchConfig {
   /// error status, and the batch still completes.
   bool allowDegradation = true;
   /// Original-layout index of shapes[0]. A full run leaves this 0; a
-  /// tiled/sharded run (supervisor worker ranges, journaled sub-batches)
-  /// sets it so every ShapeReport Status carries the index the shape has
-  /// in the complete layout, never a tile-local one.
+  /// tiled run sets it so every ShapeReport Status carries the index the
+  /// shape has in the complete layout, never a tile-local one.
   int shapeIndexBase = 0;
   /// Skip the primary method and fracture every shape with the fallback
   /// ladder directly (supervisor crash-isolation; see
@@ -139,18 +138,19 @@ struct BatchConfig {
 /// totalFailingPixels, shapeSecondsSum, degradedShapes, refinerStats)
 /// from its solutions/reports in input order. `shapeStats` pairs with
 /// solutions; pass an empty vector when no per-shape stats exist (e.g.
-/// journal-replayed shapes). Shared by the plain, journaled and
-/// supervised drivers so every path merges identically — the resume
-/// byte-identity contract depends on it.
+/// journal-replayed shapes). Every run merges through it after
+/// instantiation, so resumed, supervised and plain runs aggregate
+/// identically — the resume byte-identity contract depends on it.
 void mergeBatchAggregates(BatchResult& result,
                           const std::vector<RefinerStats>& shapeStats);
 
-/// Parallel layout fracturing, one parallelFor over shapes: every shape
-/// is one job with private Problem/Verifier state. A shape's grid covers
-/// its polygon inflated by the gamma + 3*sigma halo, so jobs touch disjoint
-/// state and run concurrently without synchronisation; shot lists and
-/// aggregate statistics are merged in input order after the join, making
-/// the result byte-identical for any thread count (verified in tests).
+/// Parallel layout fracturing: planFlatLayout, then the plan executor
+/// (mdp/hierarchy), unjournaled and uncached. Every shape is one job with
+/// private Problem/Verifier state. A shape's grid covers its polygon
+/// inflated by the gamma + 3*sigma halo, so jobs touch disjoint state and
+/// run concurrently without synchronisation; shot lists and aggregate
+/// statistics are merged in input order after the join, making the
+/// result byte-identical for any thread count (verified in tests).
 BatchResult fractureLayoutParallel(const std::vector<LayoutShape>& shapes,
                                    const BatchConfig& config);
 

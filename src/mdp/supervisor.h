@@ -1,9 +1,11 @@
 // Supervised multi-process fracturing (mbf_cli --isolate). The
-// supervisor shards the layout's shape ranges across worker
-// subprocesses — each worker is mbf_cli re-exec'd in a hidden worker
-// mode, journaling every completed shape to a per-range journal — and
-// survives what no in-process ladder can: segfaults, OOM-kills and hard
-// hangs of the fracture engine itself.
+// supervisor shards ranges of plan units (mdp/hierarchy: one unit per
+// shape of a flat layout, one per unique cell of a GDS hierarchy) across
+// worker subprocesses — each worker is mbf_cli re-exec'd in a hidden
+// worker mode that replans the same input and journals one CellRecord
+// per completed unit of its range — and survives what no in-process
+// ladder can: segfaults, OOM-kills and hard hangs of the fracture engine
+// itself.
 //
 // State machine per range task:
 //
@@ -15,19 +17,21 @@
 //                     -> retried            (no progress; relaunch after
 //                                            capped exponential backoff)
 //                     -> bisected           (retries exhausted on a
-//                                            multi-shape range: split in
+//                                            multi-unit range: split in
 //                                            half, recurse)
 //                     -> isolated           (retries exhausted on a
-//                                            single shape: the culprit is
+//                                            single unit: the culprit is
 //                                            re-fractured fallback-only,
-//                                            degrading one shape instead
+//                                            degrading one unit instead
 //                                            of poisoning the batch)
 //
 // A wall-clock watchdog SIGKILLs workers that exceed workerTimeoutMs
 // (hard hangs never reach a cooperative checkpoint). Because workers
 // journal as they go, every retry resumes instead of recomputing, and
-// the per-shape records the supervisor harvests are bitwise identical
-// to what a single-process run would have produced.
+// the records the supervisor harvests are bitwise identical to what a
+// single-process run would have produced. The caller (the supervised
+// plan executor) owns the plan: it validates harvested records,
+// fills holes and instantiates.
 #pragma once
 
 #include <map>
@@ -44,8 +48,8 @@ namespace mbf {
 struct SupervisorConfig {
   /// The mbf_cli binary to re-exec as workers (see selfExePath()).
   std::string cliPath;
-  /// Input layout file; workers re-read and re-group it, so shape
-  /// indices agree across every process by construction.
+  /// Input layout file; workers re-read and replan it, so unit indices
+  /// agree across every process by construction.
   std::string inputPath;
   /// Scratch directory for per-range journals, worker outputs and logs;
   /// created if missing.
@@ -54,9 +58,8 @@ struct SupervisorConfig {
   /// and friends). The supervisor adds the worker-mode plumbing itself.
   std::vector<std::string> workerArgs;
 
-  int numShapes = 0;
+  int numUnits = 0;        ///< plan units; workers get --cell-range=a:b
   int jobs = 2;            ///< concurrent worker processes
-  int chunkShapes = 0;     ///< shapes per initial range; 0 = derive
   double workerTimeoutMs = 0.0;  ///< watchdog; 0 = no timeout
   int maxRetries = 2;      ///< relaunches of one range before bisection
   double backoffBaseMs = 50.0;
@@ -68,39 +71,30 @@ struct SupervisorConfig {
   /// worker processes. Lifecycle events (spawn/retry/bisect/isolate/
   /// watchdog kills) are recorded by the supervisor itself.
   bool collectTraceSpans = false;
-  /// Hierarchical mode: the supervised units are UNIQUE CELLS, not flat
-  /// shapes. numShapes counts plan cells, workers get `--cell-range`
-  /// instead of `--shape-range`, harvested frames decode as CellRecords
-  /// into SupervisorResult::cellRecords, and the caller — who knows the
-  /// hierarchy — performs instantiation and hole-filling itself (the
-  /// supervisor synthesizes nothing).
-  bool hierCells = false;
   /// Restrict the supervised work to these [begin, end) unit ranges
-  /// (still chunked across workers). Empty = the whole [0, numShapes).
-  /// A resumed hierarchical run passes only the cell ranges its parent
-  /// journal is missing.
+  /// (still chunked across workers). Empty = the whole [0, numUnits).
+  /// A resumed run passes only the unit ranges its parent journal is
+  /// missing.
   std::vector<std::pair<int, int>> initialRanges;
 };
 
 struct SupervisorResult {
   /// Supervisor-level fatal error (worker binary unrunnable, worker
-  /// rejected its arguments, scratch dir unwritable). Per-shape
-  /// failures never land here — they become degraded records.
+  /// rejected its arguments, scratch dir unwritable). Per-unit failures
+  /// never land here — they become degraded records.
   Status status;
-  /// Harvested per-shape records, keyed by original shape index. On a
-  /// clean flat supervisor run every index in [0, numShapes) is present
-  /// (culprits included, as fallback-only or synthesized records).
-  std::map<int, ShapeRecord> records;
-  /// Hierarchical mode only: harvested per-cell records keyed by plan
-  /// cell index. Holes (crashed-even-in-fallback cells, drained or
-  /// aborted ranges) are the CALLER's to fill — it owns instantiation.
+  /// Harvested records keyed by plan unit index. Holes (drained or
+  /// aborted ranges, units whose fallback-only worker died too) are the
+  /// CALLER's to fill — it owns the plan.
   std::map<int, CellRecord> cellRecords;
+  /// Units whose fallback-only worker died as well, with why (the
+  /// caller records each of their shapes as kExecFault).
+  std::map<int, std::string> fallbackCrashes;
   RunCounters counters;
-  /// Original indices of crash-isolated culprit shapes.
-  std::vector<int> isolatedShapes;
+  /// Plan unit indices of crash-isolated culprits, ascending.
+  std::vector<int> isolatedUnits;
   /// A SIGTERM/SIGINT graceful drain cut the run short: queued ranges
-  /// were dropped, live workers were asked to drain, and every shape no
-  /// worker journaled carries an interrupted (not degraded) record.
+  /// were dropped and live workers were asked to drain.
   bool interrupted = false;
   /// Spans harvested from worker span files (collectTraceSpans only).
   /// Each keeps its recording worker's pid; a worker that died before
@@ -109,8 +103,8 @@ struct SupervisorResult {
   /// Non-empty when the run was ABORTED rather than retried to
   /// completion: a worker hit a condition every future worker would hit
   /// identically (today: ENOSPC on the shared filer). No new workers
-  /// were spawned, running ones were terminated, and every unjournaled
-  /// shape carries a degraded record naming this cause. The caller
+  /// were spawned and running ones were terminated. The caller gives
+  /// every unjournaled shape a degraded record naming this cause and
   /// reports the partial result (exit 5) with this string in the
   /// manifest instead of burning the retry/bisect ladder against a full
   /// disk.

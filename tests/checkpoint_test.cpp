@@ -1,8 +1,10 @@
-// Tests for the journaled batch layer (mdp/checkpoint, DESIGN.md section
-// 14): ShapeRecord serialization round trips bitwise, a journaled run
-// matches a plain run exactly, and resuming from a partial journal at
-// any thread count reproduces the uninterrupted output byte for byte.
-// The process-level half of the contract (SIGKILL mid-run, supervisor
+// Tests for the journal records (mdp/checkpoint, DESIGN.md section 14)
+// and journaled runs of the plan executor over a flat plan: ShapeRecord
+// and CellRecord serialization round trip bitwise, a journaled run
+// matches a plain run exactly, resuming from a partial journal at any
+// thread count reproduces the uninterrupted output byte for byte, and a
+// per-shape journal of an older build is refused by name. The
+// process-level half of the contract (SIGKILL mid-run, supervisor
 // isolation) lives in tests/crash_drill_test.cpp.
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include "benchgen/ilt_synth.h"
 #include "io/poly_io.h"
 #include "mdp/checkpoint.h"
+#include "mdp/hierarchy.h"
 #include "mdp/layout.h"
 #include "support/fault_injector.h"
 #include "support/journal.h"
@@ -58,6 +61,32 @@ std::vector<LayoutShape> testLayout(int n) {
     shapes.push_back(s);
   }
   return shapes;
+}
+
+/// A journaled run of the plan executor over the flat plan of `shapes`.
+Status runJournaled(const std::vector<LayoutShape>& shapes,
+                    const BatchConfig& config, const std::string& journalPath,
+                    bool resume, BatchResult& out,
+                    RunCounters* counters = nullptr) {
+  HierPlan plan;
+  planFlatLayout(shapes, config, plan);
+  HierOptions options;
+  options.journalPath = journalPath;
+  options.resume = resume;
+  HierarchicalResult run;
+  const Status st = executePlan(plan, config, options, run, counters);
+  out = std::move(run.batch);
+  return st;
+}
+
+/// The header meta a journaled run of `shapes` writes.
+std::string flatJournalMeta(const std::vector<LayoutShape>& shapes,
+                            const BatchConfig& config) {
+  HierPlan plan;
+  planFlatLayout(shapes, config, plan);
+  std::vector<std::string> keys;
+  for (const HierPlan::Cell& cell : plan.cells) keys.push_back(cell.key);
+  return cellJournalMetaFor("", keys, 0, static_cast<int>(keys.size()));
 }
 
 std::string shotsText(const BatchResult& result) {
@@ -292,13 +321,11 @@ TEST(JournaledRunTest, MatchesPlainRunExactly) {
   const BatchResult plain = fractureLayoutParallel(shapes, config);
 
   TempFile journal("plain_match");
-  JournaledRunOptions options;
-  options.journalPath = journal.path();
   BatchResult journaled;
   RunCounters counters;
-  ASSERT_TRUE(
-      fractureLayoutJournaled(shapes, config, options, journaled, &counters)
-          .ok());
+  ASSERT_TRUE(runJournaled(shapes, config, journal.path(), false, journaled,
+                           &counters)
+                  .ok());
   expectSameBatch(plain, journaled);
   EXPECT_EQ(counters.resumedShapes, 0);
   EXPECT_EQ(counters.freshShapes, static_cast<int>(shapes.size()));
@@ -312,11 +339,9 @@ TEST(JournaledRunTest, ResumeFromPartialJournalIsByteIdentical) {
   // A full journal to harvest records from.
   TempFile fullJournal("resume_full");
   {
-    JournaledRunOptions options;
-    options.journalPath = fullJournal.path();
     BatchResult ignored;
     ASSERT_TRUE(
-        fractureLayoutJournaled(shapes, config, options, ignored).ok());
+        runJournaled(shapes, config, fullJournal.path(), false, ignored).ok());
   }
   std::string meta;
   std::vector<std::string> records;
@@ -339,13 +364,10 @@ TEST(JournaledRunTest, ResumeFromPartialJournalIsByteIdentical) {
       }
       BatchConfig resumedConfig = config;
       resumedConfig.threads = threads;
-      JournaledRunOptions options;
-      options.journalPath = partial.path();
-      options.resume = true;
       BatchResult resumed;
       RunCounters counters;
-      ASSERT_TRUE(fractureLayoutJournaled(shapes, resumedConfig, options,
-                                          resumed, &counters)
+      ASSERT_TRUE(runJournaled(shapes, resumedConfig, partial.path(), true,
+                               resumed, &counters)
                       .ok())
           << "threads=" << threads << " keep=" << keep;
       expectSameBatch(plain, resumed);
@@ -355,8 +377,8 @@ TEST(JournaledRunTest, ResumeFromPartialJournalIsByteIdentical) {
       // The journal is now complete: a second resume replays everything.
       BatchResult replayed;
       RunCounters replayCounters;
-      ASSERT_TRUE(fractureLayoutJournaled(shapes, resumedConfig, options,
-                                          replayed, &replayCounters)
+      ASSERT_TRUE(runJournaled(shapes, resumedConfig, partial.path(), true,
+                               replayed, &replayCounters)
                       .ok());
       expectSameBatch(plain, replayed);
       EXPECT_EQ(replayCounters.freshShapes, 0);
@@ -374,11 +396,9 @@ TEST(JournaledRunTest, ResumePreservesDegradedReports) {
   ASSERT_TRUE(plain.reports[2].degraded);
 
   TempFile journal("degraded");
-  JournaledRunOptions options;
-  options.journalPath = journal.path();
-  options.resume = true;
   BatchResult first;
-  ASSERT_TRUE(fractureLayoutJournaled(shapes, config, options, first).ok());
+  ASSERT_TRUE(
+      runJournaled(shapes, config, journal.path(), true, first).ok());
   expectSameBatch(plain, first);
 
   // Replay: the degraded report (status code, message, shape index) must
@@ -386,7 +406,7 @@ TEST(JournaledRunTest, ResumePreservesDegradedReports) {
   BatchResult second;
   RunCounters counters;
   ASSERT_TRUE(
-      fractureLayoutJournaled(shapes, config, options, second, &counters)
+      runJournaled(shapes, config, journal.path(), true, second, &counters)
           .ok());
   EXPECT_EQ(counters.freshShapes, 0);
   expectSameBatch(plain, second);
@@ -398,38 +418,65 @@ TEST(JournaledRunTest, RefusesJournalOfDifferentRun) {
   const std::vector<LayoutShape> shapes = testLayout(3);
   BatchConfig config;
   TempFile journal("mismatch");
-  JournaledRunOptions options;
-  options.journalPath = journal.path();
-  options.resume = true;
   BatchResult out;
-  ASSERT_TRUE(fractureLayoutJournaled(shapes, config, options, out).ok());
+  ASSERT_TRUE(runJournaled(shapes, config, journal.path(), true, out).ok());
 
   BatchConfig other = config;
   other.method = Method::kGsc;
   BatchResult ignored;
-  const Status st = fractureLayoutJournaled(shapes, other, options, ignored);
+  const Status st =
+      runJournaled(shapes, other, journal.path(), true, ignored);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 }
 
-TEST(JournaledRunTest, RejectsOutOfRangeRecord) {
+TEST(JournaledRunTest, RefusesOlderBuildShapeJournalByName) {
+  // Before the plan executor, flat runs journaled one ShapeRecord frame
+  // per shape under a journalMetaFor header. Such a journal is refused
+  // with a diagnostic naming what it is, not a bare fingerprint mismatch.
   const std::vector<LayoutShape> shapes = testLayout(3);
   BatchConfig config;
-  TempFile journal("out_of_range");
-  ShapeRecord rogue;
-  rogue.shapeIndex = 99;
+  TempFile journal("older_build");
   {
     JournalWriter writer;
     ASSERT_TRUE(writer
                     .create(journal.path(), journalMetaFor(shapes, config),
                             JournalFsync::kNone)
                     .ok());
-    ASSERT_TRUE(writer.append(encodeShapeRecord(rogue)).ok());
+    ShapeRecord record;
+    record.shapeIndex = 0;
+    record.solution.shots = {Rect(0, 0, 40, 40)};
+    ASSERT_TRUE(writer.append(encodeShapeRecord(record)).ok());
   }
-  JournaledRunOptions options;
-  options.journalPath = journal.path();
-  options.resume = true;
   BatchResult out;
-  EXPECT_FALSE(fractureLayoutJournaled(shapes, config, options, out).ok());
+  const Status st = runJournaled(shapes, config, journal.path(), true, out);
+  EXPECT_EQ(st.code(), StatusCode::kUnsupported) << st.str();
+  EXPECT_NE(st.message().find("older build's per-shape (ShapeRecord) "
+                              "journal"),
+            std::string::npos)
+      << st.str();
+  EXPECT_NE(st.message().find("run-scoped"), std::string::npos) << st.str();
+  EXPECT_NE(st.message().find("delete it and rerun"), std::string::npos)
+      << st.str();
+}
+
+TEST(JournaledRunTest, RejectsOutOfRangeRecord) {
+  const std::vector<LayoutShape> shapes = testLayout(3);
+  BatchConfig config;
+  TempFile journal("out_of_range");
+  CellRecord rogue;
+  rogue.cellIndex = 99;
+  rogue.key = std::string(64, 'a');
+  {
+    JournalWriter writer;
+    ASSERT_TRUE(writer
+                    .create(journal.path(), flatJournalMeta(shapes, config),
+                            JournalFsync::kNone)
+                    .ok());
+    ASSERT_TRUE(writer.append(encodeCellRecord(rogue)).ok());
+  }
+  BatchResult out;
+  const Status st = runJournaled(shapes, config, journal.path(), true, out);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.str();
 }
 
 TEST(JournaledRunTest, FirstDuplicateRecordWins) {
@@ -441,11 +488,8 @@ TEST(JournaledRunTest, FirstDuplicateRecordWins) {
   // the first (a retried worker re-journals work an earlier attempt
   // already completed; the earlier record is the canonical one).
   TempFile full("dup_src");
-  JournaledRunOptions srcOptions;
-  srcOptions.journalPath = full.path();
   BatchResult ignored;
-  ASSERT_TRUE(fractureLayoutJournaled(shapes, config, srcOptions, ignored)
-                  .ok());
+  ASSERT_TRUE(runJournaled(shapes, config, full.path(), false, ignored).ok());
   std::string meta;
   std::vector<std::string> records;
   ASSERT_TRUE(recoverJournal(full.path(), meta, records).ok());
@@ -454,13 +498,13 @@ TEST(JournaledRunTest, FirstDuplicateRecordWins) {
   // recoverJournal returns records in completion order; index them.
   std::vector<std::string> byIndex(shapes.size());
   for (const std::string& r : records) {
-    ShapeRecord rec;
-    ASSERT_TRUE(decodeShapeRecord(r, rec).ok());
-    byIndex[static_cast<std::size_t>(rec.shapeIndex)] = r;
+    CellRecord rec;
+    ASSERT_TRUE(decodeCellRecord(r, rec).ok());
+    byIndex[static_cast<std::size_t>(rec.cellIndex)] = r;
   }
-  ShapeRecord tampered;
-  ASSERT_TRUE(decodeShapeRecord(byIndex[0], tampered).ok());
-  tampered.solution.shots.clear();
+  CellRecord tampered;
+  ASSERT_TRUE(decodeCellRecord(byIndex[0], tampered).ok());
+  tampered.solutions[0].shots.clear();
 
   TempFile dup("dup");
   {
@@ -468,15 +512,12 @@ TEST(JournaledRunTest, FirstDuplicateRecordWins) {
     ASSERT_TRUE(writer.create(dup.path(), meta, JournalFsync::kNone).ok());
     ASSERT_TRUE(writer.append(byIndex[0]).ok());
     ASSERT_TRUE(writer.append(byIndex[1]).ok());
-    ASSERT_TRUE(writer.append(encodeShapeRecord(tampered)).ok());
+    ASSERT_TRUE(writer.append(encodeCellRecord(tampered)).ok());
   }
-  JournaledRunOptions options;
-  options.journalPath = dup.path();
-  options.resume = true;
   BatchResult out;
   RunCounters counters;
   ASSERT_TRUE(
-      fractureLayoutJournaled(shapes, config, options, out, &counters).ok());
+      runJournaled(shapes, config, dup.path(), true, out, &counters).ok());
   expectSameBatch(plain, out);
   EXPECT_EQ(counters.freshShapes, 0);
 }

@@ -19,6 +19,8 @@
 
 #include "gds_record_bytes.h"
 #include "io/gdsii.h"
+#include "mdp/checkpoint.h"
+#include "support/journal.h"
 
 namespace {
 
@@ -157,8 +159,46 @@ int main(int argc, char** argv) {
     }
   }
 
+  // An AREF whose corner span is no whole multiple of its 3 columns
+  // (200 nm) has no integer pitch: refused, never placed at 0/66/132.
+  writeFile(dir + "/aref_inexact_pitch.gds",
+            gb::library(gb::record(gb::kAref) +
+                        gb::record(gb::kSname, "CHILD") +
+                        gb::record(gb::kColrow, gb::u16(3) + gb::u16(1)) +
+                        gb::record(gb::kXy, gb::i32s({0, 0, 200, 0, 0, 100})) +
+                        gb::record(gb::kEndEl)));
+  for (const std::string mode : {"", "--hier"}) {
+    const std::string name =
+        std::string("aref_inexact_pitch") + (mode.empty() ? "" : "_hier");
+    cases.push_back({name, dir + "/aref_inexact_pitch.gds", mode, 3});
+    wantMessage[name] = "AREF XY";
+  }
+
   // --- bad arguments on a valid file ------------------------------------
   writeFile(dir + "/valid.poly", "0 0\n80 0\n80 50\n0 50\n");
+
+  // A per-shape journal of an older build: --resume refuses it (exit 3)
+  // instead of replaying frames of a retired record kind.
+  {
+    mbf::LayoutShape shape;
+    shape.rings.push_back(
+        mbf::Polygon({{0, 0}, {80, 0}, {80, 50}, {0, 50}}));
+    mbf::JournalWriter writer;
+    mbf::ShapeRecord record;
+    record.shapeIndex = 0;
+    record.solution.shots = {mbf::Rect(0, 0, 80, 50)};
+    const std::string journal = dir + "/older_build.jrnl";
+    if (!writer
+             .create(journal, mbf::journalMetaFor({shape}, mbf::BatchConfig{}),
+                     mbf::JournalFsync::kNone)
+             .ok() ||
+        !writer.append(mbf::encodeShapeRecord(record)).ok()) {
+      std::cerr << "cannot write " << journal << "\n";
+      return 2;
+    }
+    cases.push_back({"older_build_journal", dir + "/valid.poly",
+                     "--journal=" + journal + " --resume", 3});
+  }
   cases.push_back({"neg_gamma", dir + "/valid.poly", "--gamma=-2", 2});
   cases.push_back({"bad_eta", dir + "/valid.poly", "--eta=1.5", 2});
 

@@ -64,7 +64,7 @@ TEST(GdsiiTest, NegativeCoordinatesSurvive) {
   GdsLibrary lib;
   GdsPolygon p;
   p.polygon = Polygon({{-1000000, -2}, {5, -2}, {5, 3000000}});
-  lib.structures = {GdsStructure{"T", {p}, {}}};
+  lib.structures = {GdsStructure{"T", {p}, {}, {}}};
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   writeGds(ss, lib);
   GdsLibrary back;
@@ -201,6 +201,48 @@ TEST(GdsiiTest, RotatedReferenceIsRefused) {
                 at + gb::record(gb::kSref).size() +
                     gb::record(gb::kSname, "CHILD").size() +
                     gb::record(gb::kStrans, gb::u16(0)).size());
+}
+
+/// A COLROW cols x rows AREF of CHILD with XY `xy` (origin, column
+/// corner, row corner); `xyOffset` receives the XY record's offset.
+std::string arefLibrary(std::uint16_t cols, std::uint16_t rows,
+                        std::initializer_list<std::int32_t> xy,
+                        std::size_t* xyOffset) {
+  std::size_t at = 0;
+  const std::string head = gb::record(gb::kAref) +
+                           gb::record(gb::kSname, "CHILD") +
+                           gb::record(gb::kColrow, gb::u16(cols) + gb::u16(rows));
+  const std::string bytes = gb::library(
+      head + gb::record(gb::kXy, gb::i32s(xy)) + gb::record(gb::kEndEl), &at);
+  *xyOffset = at + head.size();
+  return bytes;
+}
+
+TEST(GdsiiTest, ArefPitchIsExactInt64OrRefused) {
+  std::size_t at = 0;
+  // A 3-column AREF spanning 200 nm has no integer pitch; truncating it
+  // would place instances at 0, 66, 132 instead of where it was drawn.
+  const std::string inexact =
+      arefLibrary(3, 1, {0, 0, 200, 0, 0, 100}, &at);
+  expectRefused(inexact, "AREF XY", at);
+  // A pitch that only int64 can hold (one column spanning 4e9 nm).
+  const std::string wide = arefLibrary(
+      1, 1, {-2000000000, 0, 2000000000, 0, -2000000000, 50}, &at);
+  expectRefused(wide, "AREF XY", at);
+
+  // The same span over 2 columns: exact, and only int64 arithmetic gets
+  // it right (the int32 difference of the corners overflows).
+  const std::string bytes =
+      arefLibrary(2, 1, {-2000000000, 0, 2000000000, 0, -2000000000, 50}, &at);
+  std::stringstream ss(bytes, std::ios::in | std::ios::binary);
+  GdsLibrary lib;
+  const Status st = parseGds(ss, lib);
+  ASSERT_TRUE(st.ok()) << st.str();
+  const GdsStructure* top = lib.findStructure("TOP");
+  ASSERT_NE(top, nullptr);
+  ASSERT_EQ(top->arefs.size(), 1u);
+  EXPECT_EQ(top->arefs[0].columnPitch, Point(2000000000, 0));
+  EXPECT_EQ(top->arefs[0].rowPitch, Point(0, 50));
 }
 
 TEST(GdsiiTest, IdentityTransformsAndGeometryFreeRecordsPass) {

@@ -23,6 +23,7 @@
 #include "io/atomic_file.h"
 #include "mdp/cell_cache.h"
 #include "mdp/hierarchy.h"
+#include "support/fault_injector.h"
 
 namespace mbf {
 namespace {
@@ -121,6 +122,39 @@ TEST(HierarchyTest, MixedOwnPolygonsAndRefs) {
   }
   EXPECT_TRUE(sawSquare);
   EXPECT_TRUE(sawShifted);
+}
+
+TEST(HierarchyTest, CellShapesFractureUnderTheirFirstInstanceFlatIndex) {
+  // Flat order: CELL at 0, CELL at 200, SQUARE at 500 -> indices 0, 1, 2.
+  // SQUARE is the second plan cell but flat shape 2; a fault armed on
+  // flat index 2 must hit it, exactly as in the flat run.
+  GdsLibrary lib;
+  GdsPolygon square;
+  square.polygon = Polygon({{0, 0}, {60, 0}, {60, 60}, {0, 60}});
+  GdsStructure cell{"CELL", {lPoly()}, {}, {}};
+  GdsStructure sq{"SQUARE", {square}, {}, {}};
+  GdsStructure top{
+      "TOP", {}, {{"CELL", {0, 0}}, {"CELL", {200, 0}}, {"SQUARE", {500, 0}}},
+      {}};
+  lib.structures = {top, cell, sq};
+  FaultInjector injector;
+  injector.armShape(2, FaultKind::kThrow);
+  BatchConfig config;
+  config.params.faultInjector = &injector;
+
+  const HierarchicalResult r = mustFracture(lib, config);
+  std::vector<LayoutShape> flatShapes;
+  ASSERT_TRUE(hierarchicalInstanceShapes(lib, "", flatShapes).ok());
+  const BatchResult flat = fractureLayoutParallel(flatShapes, config);
+  ASSERT_EQ(r.batch.reports.size(), 3u);
+  ASSERT_EQ(flat.reports.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(r.batch.reports[i].degraded, i == 2) << "shape " << i;
+    EXPECT_EQ(flat.reports[i].degraded, i == 2) << "shape " << i;
+  }
+  EXPECT_EQ(r.batch.reports[2].status.code(), StatusCode::kExecFault);
+  EXPECT_EQ(r.batch.reports[2].status.shapeIndex(), 2);
+  EXPECT_EQ(r.batch.solutions[2].shots, flat.solutions[2].shots);
 }
 
 TEST(HierarchyTest, EmptyLibraryIsAnError) {

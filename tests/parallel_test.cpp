@@ -10,10 +10,12 @@
 #include <bit>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <latch>
 #include <mutex>
 #include <random>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,6 +24,8 @@
 #include "ebeam/proximity_model.h"
 #include "fracture/problem.h"
 #include "fracture/verifier.h"
+#include "mdp/checkpoint.h"
+#include "mdp/hierarchy.h"
 #include "mdp/layout.h"
 #include "parallel/parallel_for.h"
 
@@ -215,6 +219,82 @@ TEST(ParallelLayoutTest, FractureLayoutParallelIsByteIdentical) {
       EXPECT_EQ(a.failOff, b.failOff);
       EXPECT_EQ(a.cost, b.cost);
     }
+  }
+}
+
+TEST(ParallelLayoutTest, JournaledExecutorIsThreadCountInvariant) {
+  // The journaled plan executor appends CellRecords from helper threads
+  // (whichever thread finishes a cell's last shape); under ThreadSanitizer
+  // this is the concurrency surface of every journaled run.
+  std::vector<LayoutShape> shapes;
+  const std::vector<OpcSynthConfig> suite = opcSuiteConfigs();
+  for (std::size_t i = 0; i < suite.size() && i < 6; ++i) {
+    LayoutShape shape;
+    shape.rings.push_back(makeOpcShape(suite[i]));
+    shapes.push_back(std::move(shape));
+  }
+
+  struct Run {
+    std::vector<Solution> solutions;
+    std::vector<CellRecord> records;  ///< decoded, sorted by cell index
+  };
+  auto journaledRun = [&](int threads) {
+    BatchConfig config;
+    config.threads = threads;
+    HierPlan plan;
+    planFlatLayout(shapes, config, plan);
+    const std::string path =
+        "parallel_test_journal_" + std::to_string(threads) + ".tmp";
+    HierOptions options;
+    options.journalPath = path;
+    HierarchicalResult result;
+    EXPECT_TRUE(executePlan(plan, config, options, result).ok());
+    Run run;
+    run.solutions = std::move(result.batch.solutions);
+    std::string meta;
+    std::vector<std::string> frames;
+    EXPECT_TRUE(recoverJournal(path, meta, frames).ok());
+    for (const std::string& frame : frames) {
+      CellRecord record;
+      EXPECT_TRUE(decodeCellRecord(frame, record).ok());
+      run.records.push_back(std::move(record));
+    }
+    std::sort(run.records.begin(), run.records.end(),
+              [](const CellRecord& a, const CellRecord& b) {
+                return a.cellIndex < b.cellIndex;
+              });
+    std::remove(path.c_str());
+    std::remove((path + ".sha256").c_str());
+    return run;
+  };
+
+  const Run serial = journaledRun(1);
+  const Run parallel = journaledRun(4);
+  ASSERT_EQ(serial.solutions.size(), shapes.size());
+  ASSERT_EQ(parallel.solutions.size(), shapes.size());
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    EXPECT_EQ(parallel.solutions[i].shots, serial.solutions[i].shots)
+        << "shape " << i;
+    EXPECT_EQ(parallel.solutions[i].cost, serial.solutions[i].cost)
+        << "shape " << i;
+  }
+  // One record per cell at either thread count, with identical content
+  // (runtimeSeconds is wall clock and excluded).
+  ASSERT_EQ(serial.records.size(), shapes.size());
+  ASSERT_EQ(parallel.records.size(), serial.records.size());
+  for (std::size_t i = 0; i < serial.records.size(); ++i) {
+    const CellRecord& a = serial.records[i];
+    const CellRecord& b = parallel.records[i];
+    EXPECT_EQ(a.cellIndex, static_cast<int>(i));
+    EXPECT_EQ(b.cellIndex, a.cellIndex);
+    EXPECT_EQ(b.key, a.key);
+    ASSERT_EQ(a.solutions.size(), 1u);
+    ASSERT_EQ(b.solutions.size(), 1u);
+    EXPECT_EQ(b.solutions[0].shots, a.solutions[0].shots);
+    EXPECT_EQ(b.solutions[0].cost, a.solutions[0].cost);
+    EXPECT_EQ(b.solutions[0].failOn, a.solutions[0].failOn);
+    EXPECT_EQ(b.solutions[0].failOff, a.solutions[0].failOff);
+    EXPECT_EQ(b.reports[0].status.code(), a.reports[0].status.code());
   }
 }
 

@@ -34,18 +34,22 @@
 //                                subprocesses' spans are merged in
 //
 // Crash recovery (DESIGN.md section 14):
-//   --journal=<path>             append each completed shape to a
-//                                CRC32-framed result journal
+//   --journal=<path>             append each completed unit (a shape of
+//                                a flat layout, a unique cell under
+//                                --hier) to a CRC32-framed result
+//                                journal as one CellRecord
 //   --resume                     replay the journal first; fracture only
-//                                the missing shapes (byte-identical
-//                                output to an uninterrupted run)
+//                                the missing units (byte-identical
+//                                output to an uninterrupted run); a
+//                                journal of another run, or an older
+//                                build's per-shape journal, is refused
 //   --fsync=none|each            journal durability (default none:
 //                                survives process death; each: survives
 //                                power loss)
-//   --isolate                    supervised multi-process mode: shapes
+//   --isolate                    supervised multi-process mode: units
 //                                are sharded across mbf_cli worker
 //                                subprocesses; crashes/hangs cost one
-//                                degraded shape, never the run
+//                                degraded unit, never the run
 //   --jobs=<n>                   worker processes for --isolate
 //   --worker-timeout-ms=<ms>     watchdog: SIGKILL workers that exceed
 //                                this wall clock (0 = none)
@@ -108,13 +112,11 @@
 // the run exits 5.
 //
 // Hidden worker plumbing (spawned by --isolate, not for direct use):
-//   --worker --shape-range=a:b   fracture only shapes [a, b), reporting
-//                                original layout indices
-//   --cell-range=a:b             hierarchical worker: fracture only plan
-//                                cells [a, b) and journal CellRecords;
-//                                requires --worker --hier --journal
+//   --worker --cell-range=a:b    replan the input and fracture only plan
+//                                units [a, b), journaling CellRecords;
+//                                requires --journal
 //   --degrade-only               fallback-only re-fracture of a
-//                                crash-isolated culprit shape
+//                                crash-isolated culprit unit
 //   --trace-raw=<path>           record trace spans and dump them as a
 //                                raw span file for the supervisor to
 //                                merge (instead of chrome JSON)
@@ -308,8 +310,6 @@ int main(int argc, char** argv) {
   JournalFsync fsyncPolicy = JournalFsync::kNone;
   bool isolate = false;
   bool workerMode = false;
-  int rangeBegin = -1;
-  int rangeEnd = -1;
   int cellRangeBegin = -1;
   int cellRangeEnd = -1;
   int jobs = 2;
@@ -457,14 +457,6 @@ int main(int argc, char** argv) {
       }
     } else if (key == "--worker") {
       workerMode = true;
-    } else if (key == "--shape-range") {
-      const std::size_t colon = value.find(':');
-      if (colon == std::string::npos ||
-          !parseInt(value.substr(0, colon), rangeBegin) ||
-          !parseInt(value.substr(colon + 1), rangeEnd) || rangeBegin < 0 ||
-          rangeEnd < rangeBegin) {
-        error = "must be begin:end with 0 <= begin <= end";
-      }
     } else if (key == "--cell-range") {
       const std::size_t colon = value.find(':');
       if (colon == std::string::npos ||
@@ -532,10 +524,9 @@ int main(int argc, char** argv) {
     std::cerr << "--isolate and --worker are mutually exclusive\n";
     return usage();
   }
-  if ((rangeBegin >= 0 || cellRangeBegin >= 0 || config.fallbackOnly) &&
-      !workerMode) {
-    std::cerr << "--shape-range/--cell-range/--degrade-only are worker-mode "
-                 "plumbing (spawned by --isolate)\n";
+  if ((cellRangeBegin >= 0 || config.fallbackOnly) && !workerMode) {
+    std::cerr << "--cell-range/--degrade-only are worker-mode plumbing "
+                 "(spawned by --isolate)\n";
     return usage();
   }
   const bool gdsInput = inputPath.size() > 4 &&
@@ -557,23 +548,11 @@ int main(int argc, char** argv) {
     std::cerr << "--top-cell requires a .gds input\n";
     return usage();
   }
-  // Hierarchical crash-safety plumbing (DESIGN.md section 19): the unit
-  // of sharding and journaling under --hier is the PLAN CELL, so the
-  // flat --shape-range never composes with it, and a hierarchical
-  // worker's journal IS the product its supervisor harvests.
-  if (hier && rangeBegin >= 0) {
-    std::cerr << "--shape-range does not compose with --hier (workers "
-                 "shard plan cells via --cell-range)\n";
-    return usage();
-  }
-  if (cellRangeBegin >= 0 && !hier) {
-    std::cerr << "--cell-range requires --hier\n";
-    return usage();
-  }
-  if (workerMode && hier &&
-      (cellRangeBegin < 0 || journalPath.empty())) {
-    std::cerr << "a hierarchical worker needs --cell-range=a:b and "
-                 "--journal=<path> (spawned by --hier --isolate)\n";
+  // Crash-safety plumbing (DESIGN.md section 19): workers shard PLAN
+  // CELLS, and a worker's journal IS the product its supervisor harvests.
+  if (workerMode && (cellRangeBegin < 0 || journalPath.empty())) {
+    std::cerr << "a worker needs --cell-range=a:b and --journal=<path> "
+                 "(spawned by --isolate)\n";
     return usage();
   }
   if (injectorArmed) config.params.faultInjector = &injector;
@@ -665,218 +644,145 @@ int main(int argc, char** argv) {
     std::cerr << "no polygons in " << inputPath << "\n";
     return 3;
   }
-  std::vector<LayoutShape> shapes = groupRings(std::move(rings));
 
-  // Worker mode: fracture only [rangeBegin, rangeEnd), reporting
-  // original layout indices; the journal is the product the supervisor
-  // harvests (the .shots scratch file exists only for uniformity).
-  if (workerMode && rangeBegin >= 0) {
-    if (rangeEnd > static_cast<int>(shapes.size())) {
-      std::cerr << "--shape-range end " << rangeEnd << " exceeds the "
-                << shapes.size() << " shapes in " << inputPath << "\n";
-      return 2;
+  // Plan: GDS cells under --hier, otherwise one unit per flat shape.
+  // Either way the plan executor below runs the same pipeline.
+  HierPlan plan;
+  if (hier) {
+    const Status st = planGdsHierarchy(gdsLib, config, topCell, plan);
+    if (!st.ok()) {
+      std::cerr << "hier: " << st.str() << "\n";
+      return 3;
     }
-    config.shapeIndexBase = rangeBegin;
-    shapes = std::vector<LayoutShape>(
-        shapes.begin() + rangeBegin, shapes.begin() + rangeEnd);
-  }
-  if (!hier) {
+  } else {
+    std::vector<LayoutShape> shapes = groupRings(std::move(rings));
     std::cerr << "fracturing " << shapes.size() << " shape(s) with method '"
               << toString(config.method) << "'...\n";
+    planFlatLayout(std::move(shapes), config, plan);
   }
 
-  BatchResult result;
+  HierOptions runOptions;
+  runOptions.cellCacheDir = cellCacheDir;
+  runOptions.cellCacheQuotaBytes =
+      static_cast<std::int64_t>(cellCacheQuotaMb) * 1024 * 1024;
+  runOptions.journalPath = journalPath;
+  runOptions.resume = resume;
+  runOptions.fsync = fsyncPolicy;
+  if (workerMode) {
+    runOptions.cellBegin = cellRangeBegin;
+    runOptions.cellEnd = cellRangeEnd;
+  }
+
+  HierarchicalResult run;
   RunCounters counters;
-  bool haveCounters = false;
+  const bool haveCounters = workerMode || isolate || !journalPath.empty();
   std::vector<int> isolatedShapes;
   std::string abortCause;
-  RunManifestInfo::HierInfo hierInfo;
-  // Record the flatten/expansion root even for flat .gds runs, so
-  // --verify re-derives the layout from the same structure (an explicit
-  // --top-cell may disambiguate roots the auto-detection would refuse).
-  hierInfo.topCell = topCell;
-
-  if (hier) {
-    HierOptions hierOptions;
-    hierOptions.topStruct = topCell;
-    hierOptions.cellCacheDir = cellCacheDir;
-    hierOptions.cellCacheQuotaBytes =
-        static_cast<std::int64_t>(cellCacheQuotaMb) * 1024 * 1024;
-    hierOptions.journalPath = journalPath;
-    hierOptions.resume = resume;
-    hierOptions.fsync = fsyncPolicy;
-    HierarchicalResult hierResult;
-    std::vector<int> isolatedCells;
-    if (workerMode) {
-      // Hierarchical worker: fracture only plan cells [a, b), journaling
-      // one CellRecord per finished cell. The journal IS the product the
-      // supervisor harvests, so any journal failure is fatal here —
-      // workers never downgrade.
-      hierOptions.cellBegin = cellRangeBegin;
-      hierOptions.cellEnd = cellRangeEnd;
-      const Status st = fractureGdsHierarchical(gdsLib, config, hierOptions,
-                                                hierResult, &counters);
-      if (!st.ok()) {
-        std::cerr << "hier worker: " << st.str() << "\n";
-        return 3;
-      }
-      haveCounters = true;
-    } else if (isolate) {
-      // Supervised hierarchical mode: unique cells are sharded across
-      // worker processes; this parent plans, replays its own journal,
-      // harvests worker CellRecords, instantiates and hole-fills.
-      SupervisorConfig sup;
-      sup.cliPath = selfExePath(argv[0]);
-      sup.inputPath = inputPath;
-      sup.workDir = outputPath + ".workers";
-      sup.workerArgs = forwardArgs;
-      sup.jobs = jobs;
-      sup.workerTimeoutMs = workerTimeoutMs;
-      sup.maxRetries = retries;
-      sup.backoffBaseMs = backoffMs;
-      sup.verbose = report;
-      sup.collectTraceSpans = !traceJsonPath.empty();
-      bool hierInterrupted = false;
-      const Status st = fractureGdsHierarchicalSupervised(
-          gdsLib, config, hierOptions, sup, hierResult, counters,
-          hierInterrupted, abortCause, isolatedCells);
-      if (!st.ok()) {
-        std::cerr << "hier supervisor: " << st.str() << "\n";
-        return 3;
-      }
-      haveCounters = true;
-      if (!abortCause.empty()) {
-        std::cerr << "supervisor: run aborted: " << abortCause << "\n";
-      }
-      if (counters.journalDowngraded) {
-        std::cerr << "journal: append failed mid-run; completing "
-                     "unjournaled (the harvested results are intact)\n";
-      }
-      if (!isolatedCells.empty()) {
-        std::cerr << "hier: crash-isolated plan cell(s):";
-        for (const int c : isolatedCells) std::cerr << " " << c;
-        std::cerr << "\n";
-      }
-      for (TraceSpan& span : hierResult.workerSpans) {
-        TraceRecorder::instance().addForeign(std::move(span));
-      }
-    } else {
-      const Status st = fractureGdsHierarchical(gdsLib, config, hierOptions,
-                                                hierResult, &counters);
-      if (!st.ok()) {
-        if (!journalPath.empty() && counters.journalDowngraded) {
-          // Degrade-don't-die: the run completed in memory; ship the
-          // shots, drop the (unsealed) journal artifact, exit 2 via the
-          // ladder below — same contract as the flat journaled driver.
-          std::cerr << "journal: append failed mid-run; completing "
-                       "unjournaled: " << st.str() << "\n";
-        } else {
-          std::cerr << "hier: " << st.str() << "\n";
-          return 3;
-        }
-      }
-      if (!journalPath.empty()) haveCounters = true;
-    }
-    shapes = std::move(hierResult.instanceShapes);
-    result = std::move(hierResult.batch);
-    if (haveCounters) counters.staleTempsRemoved += sweptTemps;
-    hierInfo.enabled = true;
-    hierInfo.topCell = hierResult.topStruct;
-    hierInfo.cacheDir = cellCacheDir;
-    hierInfo.reachableCells = hierResult.reachableCells;
-    hierInfo.uniqueCellsFractured = hierResult.uniqueCellsFractured;
-    hierInfo.uniqueShapesFractured = hierResult.uniqueShapesFractured;
-    hierInfo.cacheHits = hierResult.cellCacheHits;
-    hierInfo.cacheMisses = hierResult.cellCacheMisses;
-    hierInfo.cacheRejected = hierResult.cellCacheRejected;
-    hierInfo.instancesExpanded = hierResult.instancesExpanded;
-    hierInfo.cacheIoErrors = hierResult.cellCacheIoErrors;
-    hierInfo.cacheEvicted = hierResult.cellCacheEvicted;
-    hierInfo.cacheEvictionsSkippedLive =
-        hierResult.cellCacheEvictionsSkippedLive;
-    hierInfo.cacheDisabled = hierResult.cellCacheDisabled;
-    if (hierResult.cellCacheDisabled) {
-      // Degrade-don't-die: the cache is an accelerator, never a
-      // correctness dependency; a sick cache filesystem costs speed on
-      // the NEXT run, not this run's shots.
-      std::cerr << "cell-cache: disabled for the rest of the run after "
-                << hierResult.cellCacheIoErrors << " I/O error(s): "
-                << hierResult.cellCacheDisableCause << "\n";
-    }
-    std::cerr << "hier: top '" << hierResult.topStruct << "', "
-              << hierResult.reachableCells << " reachable cell(s), "
-              << hierResult.cellCacheHits << " cache hit(s), "
-              << hierResult.uniqueCellsFractured << " fractured, "
-              << hierResult.instancesExpanded << " instance(s), "
-              << shapes.size() << " instantiated shape(s)\n";
-  } else if (isolate) {
-    // Supervised multi-process mode: this process never fractures; it
-    // shards, watches, retries, bisects, and merges worker journals.
+  Status runStatus;
+  if (isolate) {
+    // Supervised mode: this parent never fractures; it shards the plan's
+    // missing units across worker processes, watches, retries, bisects,
+    // harvests their journals, and instantiates. Workers replan the
+    // identical input (the same --top-cell pins auto-detection) and own
+    // all cell-cache I/O.
     SupervisorConfig sup;
     sup.cliPath = selfExePath(argv[0]);
     sup.inputPath = inputPath;
     sup.workDir = outputPath + ".workers";
     sup.workerArgs = forwardArgs;
-    sup.numShapes = static_cast<int>(shapes.size());
+    if (hier) sup.workerArgs.push_back("--hier");
+    if (hier || !topCell.empty()) {
+      sup.workerArgs.push_back("--top-cell=" +
+                               (hier ? plan.topStruct : topCell));
+    }
+    if (!cellCacheDir.empty()) {
+      sup.workerArgs.push_back("--cell-cache=" + cellCacheDir);
+      if (cellCacheQuotaMb > 0) {
+        sup.workerArgs.push_back("--cell-cache-quota-mb=" +
+                                 std::to_string(cellCacheQuotaMb));
+      }
+    }
     sup.jobs = jobs;
     sup.workerTimeoutMs = workerTimeoutMs;
     sup.maxRetries = retries;
     sup.backoffBaseMs = backoffMs;
     sup.verbose = report;
     sup.collectTraceSpans = !traceJsonPath.empty();
-    SupervisorResult supResult = superviseFracture(sup);
-    if (!supResult.status.ok()) {
-      std::cerr << "supervisor: " << supResult.status.str() << "\n";
-      return 3;
-    }
-    if (!supResult.abortCause.empty()) {
+    std::vector<int> isolatedCells;
+    runStatus = executePlanSupervised(plan, config, runOptions, sup, run,
+                                      counters, abortCause, isolatedCells);
+    if (!abortCause.empty()) {
       // ENOSPC-style abort: every unjournaled shape carries a degraded
-      // record naming the cause; the harvested prefix still ships, the
+      // record naming the cause; the harvested part still ships, the
       // run exits 5 and the manifest is stamped "aborted".
-      std::cerr << "supervisor: run aborted: " << supResult.abortCause
-                << "\n";
-      abortCause = supResult.abortCause;
+      std::cerr << "supervisor: run aborted: " << abortCause << "\n";
     }
-    for (TraceSpan& span : supResult.workerSpans) {
+    if (hier && !isolatedCells.empty()) {
+      std::cerr << "hier: crash-isolated plan cell(s):";
+      for (const int c : isolatedCells) std::cerr << " " << c;
+      std::cerr << "\n";
+    } else if (!hier) {
+      isolatedShapes = isolatedCells;  // flat plan cell i is shape i
+    }
+    for (TraceSpan& span : run.workerSpans) {
       TraceRecorder::instance().addForeign(std::move(span));
     }
-    result.solutions.resize(shapes.size());
-    result.reports.resize(shapes.size());
-    for (auto& [index, record] : supResult.records) {
-      result.solutions[static_cast<std::size_t>(index)] =
-          std::move(record.solution);
-      result.reports[static_cast<std::size_t>(index)] =
-          std::move(record.report);
-    }
-    mergeBatchAggregates(result, {});
-    counters = supResult.counters;
-    haveCounters = true;
-    isolatedShapes = supResult.isolatedShapes;
-  } else if (!journalPath.empty()) {
-    JournaledRunOptions options;
-    options.journalPath = journalPath;
-    options.resume = resume;
-    options.fsync = fsyncPolicy;
-    const Status st =
-        fractureLayoutJournaled(shapes, config, options, result, &counters);
-    counters.staleTempsRemoved += sweptTemps;
-    if (!st.ok()) {
-      if (counters.journalDowngraded && !workerMode) {
-        // Degrade-don't-die: the batch completed in memory; ship the
-        // shots and drop the (unsealed) journal artifact. The exit
-        // ladder reports 2 — an artifact the run was asked for is
-        // missing — not 3. Workers stay strict: their journal IS the
-        // product the supervisor harvests.
-        std::cerr << "journal: append failed mid-batch; completing "
-                     "unjournaled: " << st.str() << "\n";
-      } else {
-        std::cerr << "journal: " << st.str() << "\n";
-        return 3;
-      }
-    }
-    haveCounters = true;
   } else {
-    result = fractureLayoutParallel(shapes, config);
+    runStatus = executePlan(plan, config, runOptions, run, &counters);
+  }
+  if (!runStatus.ok()) {
+    if (counters.journalDowngraded && !workerMode) {
+      // Degrade-don't-die: the run completed in memory; ship the shots
+      // and drop the (unsealed) journal artifact. The exit ladder
+      // reports 2 — an artifact the run was asked for is missing — not
+      // 3. Workers stay strict: their journal IS the product the
+      // supervisor harvests.
+      std::cerr << "journal: append failed mid-run; completing "
+                   "unjournaled: " << runStatus.str() << "\n";
+    } else {
+      std::cerr << (isolate ? "supervisor: " : hier ? "hier: " : "journal: ")
+                << runStatus.str() << "\n";
+      return 3;
+    }
+  }
+  if (haveCounters) counters.staleTempsRemoved += sweptTemps;
+  std::vector<LayoutShape> shapes = std::move(run.instanceShapes);
+  BatchResult result = std::move(run.batch);
+
+  RunManifestInfo::HierInfo hierInfo;
+  // Record the flatten/expansion root even for flat .gds runs, so
+  // --verify re-derives the layout from the same structure (an explicit
+  // --top-cell may disambiguate roots the auto-detection would refuse).
+  hierInfo.topCell = topCell;
+  if (hier) {
+    hierInfo.enabled = true;
+    hierInfo.topCell = run.topStruct;
+    hierInfo.cacheDir = cellCacheDir;
+    hierInfo.reachableCells = run.reachableCells;
+    hierInfo.uniqueCellsFractured = run.uniqueCellsFractured;
+    hierInfo.uniqueShapesFractured = run.uniqueShapesFractured;
+    hierInfo.cacheHits = run.cellCacheHits;
+    hierInfo.cacheMisses = run.cellCacheMisses;
+    hierInfo.cacheRejected = run.cellCacheRejected;
+    hierInfo.instancesExpanded = run.instancesExpanded;
+    hierInfo.cacheIoErrors = run.cellCacheIoErrors;
+    hierInfo.cacheEvicted = run.cellCacheEvicted;
+    hierInfo.cacheEvictionsSkippedLive = run.cellCacheEvictionsSkippedLive;
+    hierInfo.cacheDisabled = run.cellCacheDisabled;
+    if (run.cellCacheDisabled) {
+      // Degrade-don't-die: the cache is an accelerator, never a
+      // correctness dependency; a sick cache filesystem costs speed on
+      // the NEXT run, not this run's shots.
+      std::cerr << "cell-cache: disabled for the rest of the run after "
+                << run.cellCacheIoErrors << " I/O error(s): "
+                << run.cellCacheDisableCause << "\n";
+    }
+    std::cerr << "hier: top '" << run.topStruct << "', "
+              << run.reachableCells << " reachable cell(s), "
+              << run.cellCacheHits << " cache hit(s), "
+              << run.uniqueCellsFractured << " fractured, "
+              << run.instancesExpanded << " instance(s), " << shapes.size()
+              << " instantiated shape(s)\n";
   }
 
   if (orderForWriter) {
