@@ -92,25 +92,31 @@ int main() {
         cacheRoot + "/c" + std::to_string(cells) + "g" + std::to_string(grid);
     std::system(("rm -rf '" + cacheDir + "'").c_str());
     HierOptions options;
-    options.topStruct = "TOP";
     options.cellCacheDir = cacheDir;
+    // Plan + execute: what a --hier run does after parsing.
+    auto runHier = [&](HierarchicalResult& r) {
+      HierPlan plan;
+      return planGdsHierarchy(lib, config, "TOP", plan).ok() &&
+             executePlan(plan, config, options, r).ok();
+    };
 
     HierarchicalResult cold;
     const auto t1 = std::chrono::steady_clock::now();
-    if (!fractureGdsHierarchical(lib, config, options, cold).ok()) return 1;
+    if (!runHier(cold)) return 1;
     const double coldSec = seconds(t1);
 
     HierarchicalResult warm;
     const auto t2 = std::chrono::steady_clock::now();
-    if (!fractureGdsHierarchical(lib, config, options, warm).ok()) return 1;
+    if (!runHier(warm)) return 1;
     const double warmSec = seconds(t2);
 
     if (cold.flatShotCount() != flat.totalShots ||
         warm.flatShotCount() != flat.totalShots ||
-        warm.uniqueCellsFractured != 0) {
+        warm.hier.uniqueCellsFractured != 0) {
       std::cerr << "hier run diverged from flat (" << cold.flatShotCount()
                 << " / " << warm.flatShotCount() << " vs " << flat.totalShots
-                << ", warm fractured " << warm.uniqueCellsFractured << ")\n";
+                << ", warm fractured " << warm.hier.uniqueCellsFractured
+                << ")\n";
       diverged = true;
     }
 

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
     saveGds("clip_in.gds", lib);
   }
   GdsLibrary lib;
-  if (!loadGds("clip_in.gds", lib)) {
+  if (!parseGdsFile("clip_in.gds", lib).ok()) {
     std::cerr << "GDSII round trip failed\n";
     return 1;
   }

@@ -8,8 +8,6 @@
 #include <utility>
 
 #include "io/atomic_file.h"
-#include "io/gdsii.h"
-#include "io/poly_io.h"
 #include "mdp/checkpoint.h"
 #include "mdp/hierarchy.h"
 #include "support/telemetry.h"
@@ -107,47 +105,6 @@ std::string stringOr(const JsonValue* v, const std::string& fallback) {
 bool boolOr(const JsonValue* v, bool fallback) {
   return v != nullptr && v->kind == JsonValue::Kind::kBool ? v->boolean
                                                            : fallback;
-}
-
-Status loadLayout(const std::string& path, bool hier,
-                  const std::string& topCell,
-                  std::vector<LayoutShape>& out) {
-  std::vector<Polygon> rings;
-  if (path.size() > 4 && path.substr(path.size() - 4) == ".gds") {
-    GdsLibrary lib;
-    Status st = parseGdsFile(path, lib);
-    if (!st.ok()) return st;
-    if (hier) {
-      // A --hier run's layout is the instance expansion, not the flat
-      // ring soup: re-derive it the same way the run did so the audit
-      // compares section-for-shape against the same shape list.
-      st = hierarchicalInstanceShapes(lib, topCell, out);
-      if (st.ok() && out.empty()) {
-        return Status(StatusCode::kInvalidArgument,
-                      "no instantiated shapes in input '" + path + "'");
-      }
-      return st;
-    }
-    std::vector<GdsPolygon> flat;
-    st = flattenGdsChecked(lib, topCell, flat);
-    if (!st.ok()) return st;
-    for (GdsPolygon& gp : flat) {
-      rings.push_back(std::move(gp.polygon));
-    }
-  } else {
-    std::vector<Polygon> parsed;
-    const Status st = parsePolygonsFile(path, parsed, nullptr);
-    // Line-tolerant, like the run itself: whatever polygons survived are
-    // the layout the run fractured.
-    if (!st.ok() && parsed.empty()) return st;
-    rings = std::move(parsed);
-  }
-  if (rings.empty()) {
-    return Status(StatusCode::kInvalidArgument,
-                  "no polygons in input '" + path + "'");
-  }
-  out = groupRings(std::move(rings));
-  return Status();
 }
 
 }  // namespace
@@ -260,10 +217,16 @@ Status verifyRun(const VerifyOptions& options, VerifyReport& out) {
   const std::string inputPath = resolveArtifactPath(
       manifestDir, stringOr(input != nullptr ? input->find("path") : nullptr,
                             ""));
+  // Through the run's own front end: a --hier run's layout is the
+  // instance expansion, not the flat ring soup.
   std::vector<LayoutShape> shapes;
   {
-    const Status st = loadLayout(inputPath, hier, topCell, shapes);
+    HierPlan plan;
+    std::string warning;
+    const Status st =
+        planInputFile(inputPath, hier, topCell, batch, plan, warning);
     if (!st.ok()) return st;
+    shapes = planInstanceShapes(plan);
   }
   const double claimedShapesRaw =
       numberOr(input != nullptr ? input->find("shapes") : nullptr, -1.0);

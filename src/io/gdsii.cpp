@@ -1,11 +1,12 @@
 #include "io/gdsii.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <sstream>
-#include <unordered_set>
+#include <unordered_map>
 
 #include "io/atomic_file.h"
 #include <istream>
@@ -214,10 +215,32 @@ std::string chainString(const std::vector<const GdsStructure*>& path,
   return s;
 }
 
-Status flattenCheckedInto(const GdsLibrary& lib, const GdsStructure& s,
-                          Offset64 offset,
-                          std::vector<const GdsStructure*>& path,
-                          std::vector<GdsPolygon>& out) {
+/// Union bbox of a structure's OWN polygons (children are range-checked
+/// at their own visits).
+Rect ownBbox(const GdsStructure& s) {
+  Rect box = s.polygons.front().polygon.bbox();
+  for (std::size_t i = 1; i < s.polygons.size(); ++i) {
+    const Rect b = s.polygons[i].polygon.bbox();
+    box.x0 = std::min(box.x0, b.x0);
+    box.y0 = std::min(box.y0, b.y0);
+    box.x1 = std::max(box.x1, b.x1);
+    box.y1 = std::max(box.y1, b.y1);
+  }
+  return box;
+}
+
+/// The walk's state: the reference chain being descended (for the cycle
+/// and depth checks) and a bbox memo per structure. An error ends the
+/// whole walk, so the chain is left as it was at the failure.
+struct Walk {
+  const GdsLibrary& lib;
+  std::vector<const GdsStructure*> path;
+  std::unordered_map<const GdsStructure*, Rect> bboxes;
+  GdsExpansion& out;
+};
+
+Status expandInto(Walk& walk, const GdsStructure& s, Offset64 offset) {
+  std::vector<const GdsStructure*>& path = walk.path;
   for (const GdsStructure* onPath : path) {
     if (onPath == &s) {
       return Status(StatusCode::kInvalidArgument,
@@ -232,56 +255,49 @@ Status flattenCheckedInto(const GdsLibrary& lib, const GdsStructure& s,
                       chainString(path, s.name));
   }
   path.push_back(&s);
+  walk.out.reachable.insert(&s);
+  ++walk.out.visits;
 
-  for (const GdsPolygon& gp : s.polygons) {
+  if (!s.polygons.empty()) {
+    auto it = walk.bboxes.find(&s);
+    if (it == walk.bboxes.end()) it = walk.bboxes.emplace(&s, ownBbox(s)).first;
     // The placement is only legal if every translated vertex stays in
-    // the int32 coordinate space; checking the bbox corners covers all
-    // vertices.
-    const Rect box = gp.polygon.bbox();
-    const std::int64_t x0 = offset.x + box.x0;
-    const std::int64_t y0 = offset.y + box.y0;
-    const std::int64_t x1 = offset.x + box.x1;
-    const std::int64_t y1 = offset.y + box.y1;
+    // the int32 coordinate space; the bbox corners cover all vertices.
+    const Rect& box = it->second;
     constexpr std::int64_t kMin = std::numeric_limits<std::int32_t>::min();
     constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
-    if (x0 < kMin || y0 < kMin || x1 > kMax || y1 > kMax) {
-      Status status(StatusCode::kInvalidArgument,
+    if (offset.x + box.x0 < kMin || offset.y + box.y0 < kMin ||
+        offset.x + box.x1 > kMax || offset.y + box.y1 > kMax) {
+      return Status(StatusCode::kInvalidArgument,
                     "placement of cell '" + s.name + "' at offset (" +
                         std::to_string(offset.x) + ", " +
                         std::to_string(offset.y) +
                         ") leaves the 32-bit coordinate space (chain " +
                         chainString(path) + ")");
-      path.pop_back();
-      return status;
     }
-    GdsPolygon copy = gp;
-    copy.polygon.translate({static_cast<std::int32_t>(offset.x),
-                            static_cast<std::int32_t>(offset.y)});
-    out.push_back(std::move(copy));
+    walk.out.instances.push_back(
+        GdsInstance{&s, Point{static_cast<std::int32_t>(offset.x),
+                              static_cast<std::int32_t>(offset.y)}});
   }
+
   for (const GdsSref& ref : s.srefs) {
-    const GdsStructure* child = lib.findStructure(ref.structName);
+    const GdsStructure* child = walk.lib.findStructure(ref.structName);
     if (!child) continue;  // subset extraction: missing cells are skipped
-    const Offset64 at{offset.x + ref.offset.x, offset.y + ref.offset.y};
-    Status status = flattenCheckedInto(lib, *child, at, path, out);
-    if (!status.ok()) {
-      path.pop_back();
-      return status;
-    }
+    Status status = expandInto(
+        walk, *child, {offset.x + ref.offset.x, offset.y + ref.offset.y});
+    if (!status.ok()) return status;
   }
   for (const GdsAref& ref : s.arefs) {
-    const GdsStructure* child = lib.findStructure(ref.structName);
+    const GdsStructure* child = walk.lib.findStructure(ref.structName);
     if (!child) continue;
     // A malformed COLROW can declare up to 65535 x 65535 instances;
     // refuse to materialise absurd arrays instead of exhausting memory.
     if (static_cast<std::int64_t>(ref.rows) * ref.columns > (1 << 22)) {
-      Status status(StatusCode::kInvalidArgument,
+      return Status(StatusCode::kInvalidArgument,
                     "AREF of cell '" + ref.structName + "' declares " +
                         std::to_string(ref.columns) + " x " +
                         std::to_string(ref.rows) +
                         " instances (cap 2^22) in cell '" + s.name + "'");
-      path.pop_back();
-      return status;
     }
     for (int r = 0; r < ref.rows; ++r) {
       for (int c = 0; c < ref.columns; ++c) {
@@ -294,11 +310,8 @@ Status flattenCheckedInto(const GdsLibrary& lib, const GdsStructure& s,
             offset.y + ref.origin.y +
                 static_cast<std::int64_t>(c) * ref.columnPitch.y +
                 static_cast<std::int64_t>(r) * ref.rowPitch.y};
-        Status status = flattenCheckedInto(lib, *child, at, path, out);
-        if (!status.ok()) {
-          path.pop_back();
-          return status;
-        }
+        Status status = expandInto(walk, *child, at);
+        if (!status.ok()) return status;
       }
     }
   }
@@ -710,14 +723,6 @@ Status parseGdsFile(const std::string& path, GdsLibrary& out) {
   return parseGds(is, out);
 }
 
-bool readGds(std::istream& is, GdsLibrary& out) {
-  return parseGds(is, out).ok();
-}
-
-bool loadGds(const std::string& path, GdsLibrary& out) {
-  return parseGdsFile(path, out).ok();
-}
-
 Status findGdsTopStructure(const GdsLibrary& lib, std::string& out) {
   out.clear();
   if (lib.structures.empty()) {
@@ -753,9 +758,9 @@ Status findGdsTopStructure(const GdsLibrary& lib, std::string& out) {
   return {};
 }
 
-Status flattenGdsChecked(const GdsLibrary& lib, const std::string& topStruct,
-                         std::vector<GdsPolygon>& out) {
-  out.clear();
+Status expandGds(const GdsLibrary& lib, const std::string& topStruct,
+                 GdsExpansion& out) {
+  out = GdsExpansion{};
   std::string topName = topStruct;
   if (topName.empty()) {
     Status status = findGdsTopStructure(lib, topName);
@@ -766,8 +771,29 @@ Status flattenGdsChecked(const GdsLibrary& lib, const std::string& topStruct,
     return Status(StatusCode::kInvalidArgument,
                   "top structure '" + topName + "' not found in library");
   }
-  std::vector<const GdsStructure*> path;
-  return flattenCheckedInto(lib, *top, {0, 0}, path, out);
+  out.top = topName;
+  Walk walk{lib, {}, {}, out};
+  return expandInto(walk, *top, {0, 0});
+}
+
+std::vector<GdsPolygon> GdsExpansion::flattened() const {
+  std::vector<GdsPolygon> out;
+  for (const GdsInstance& inst : instances) {
+    for (const GdsPolygon& gp : inst.structure->polygons) {
+      out.push_back(gp);
+      out.back().polygon.translate(inst.offset);
+    }
+  }
+  return out;
+}
+
+Status flattenGdsChecked(const GdsLibrary& lib, const std::string& topStruct,
+                         std::vector<GdsPolygon>& out) {
+  out.clear();
+  GdsExpansion expansion;
+  Status status = expandGds(lib, topStruct, expansion);
+  if (status.ok()) out = expansion.flattened();
+  return status;
 }
 
 }  // namespace mbf

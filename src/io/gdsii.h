@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "geometry/polygon.h"
@@ -82,12 +83,7 @@ bool saveGds(const std::string& path, const GdsLibrary& lib);
 Status parseGds(std::istream& is, GdsLibrary& out);
 Status parseGdsFile(const std::string& path, GdsLibrary& out);
 
-/// Bool-convenience wrappers over parseGds / parseGdsFile (the original
-/// API; the Status with the failure detail is discarded).
-bool readGds(std::istream& is, GdsLibrary& out);
-bool loadGds(const std::string& path, GdsLibrary& out);
-
-/// Deepest reference chain the checked traversals follow before calling
+/// Deepest reference chain the hierarchy walk follows before calling
 /// the hierarchy malformed. Real masks nest a handful of levels; 64 is
 /// far past any legitimate design while still bounding recursion.
 inline constexpr int kGdsMaxDepth = 64;
@@ -100,16 +96,40 @@ inline constexpr int kGdsMaxDepth = 64;
 /// exist (the diagnostic lists their names — pass one explicitly).
 Status findGdsTopStructure(const GdsLibrary& lib, std::string& out);
 
-/// Checked flatten: resolves SREF/AREF recursively from `topStruct`
-/// (empty = auto-detected via findGdsTopStructure) with on-path cycle
-/// detection and 64-bit placement arithmetic. Reference cycles and
-/// chains deeper than kGdsMaxDepth are kInvalidArgument errors naming
-/// the cell chain; placements that land outside the int32 coordinate
-/// space and AREFs declaring more than 2^22 instances are
-/// kInvalidArgument instead of silently dropped geometry. References to
-/// structures absent from the library are skipped (a subset extraction
-/// convention). On error `out` holds whatever geometry was gathered
-/// before the failure (partial, do not ship).
+/// One placement of a structure that owns polygons: its polygons land
+/// at `offset` in top coordinates (validated to stay in int32).
+struct GdsInstance {
+  const GdsStructure* structure = nullptr;
+  Point offset;
+};
+
+/// The hierarchy below one top structure, walked once.
+struct GdsExpansion {
+  std::string top;  ///< resolved top structure name
+  /// Every placement of a polygon-owning structure in walk order: a
+  /// structure's own polygons, then its SREFs, then its AREFs row-major.
+  std::vector<GdsInstance> instances;
+  /// Structures reachable from the top, polygon-less wrappers included.
+  std::unordered_set<const GdsStructure*> reachable;
+  std::int64_t visits = 0;  ///< structure placements walked, top included
+
+  /// Every instance's polygons translated to top coordinates, in order.
+  std::vector<GdsPolygon> flattened() const;
+};
+
+/// THE hierarchy walk (every SREF/AREF traversal goes through it):
+/// resolves SREF/AREF recursively from `topStruct` (empty =
+/// auto-detected via findGdsTopStructure) with on-path cycle detection
+/// and 64-bit placement arithmetic. Reference cycles and chains deeper
+/// than kGdsMaxDepth are kInvalidArgument errors naming the cell chain;
+/// placements that land outside the int32 coordinate space and AREFs
+/// declaring more than 2^22 instances are kInvalidArgument instead of
+/// silently dropped geometry. References to structures absent from the
+/// library are skipped (a subset extraction convention).
+Status expandGds(const GdsLibrary& lib, const std::string& topStruct,
+                 GdsExpansion& out);
+
+/// expandGds, then its flattened() polygons; `out` is empty on error.
 Status flattenGdsChecked(const GdsLibrary& lib, const std::string& topStruct,
                          std::vector<GdsPolygon>& out);
 

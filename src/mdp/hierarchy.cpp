@@ -2,175 +2,20 @@
 
 #include <atomic>
 #include <chrono>
-#include <limits>
 #include <map>
 #include <mutex>
+#include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "io/atomic_file.h"
+#include "io/poly_io.h"
 #include "mdp/cell_cache.h"
 #include "parallel/parallel_for.h"
 #include "support/sysio.h"
 
 namespace mbf {
 namespace {
-
-/// 64-bit composed placement offset (see io/gdsii.cpp: intermediate
-/// SREF/AREF sums overflow int32 long before the final placement does).
-struct Offset64 {
-  std::int64_t x = 0;
-  std::int64_t y = 0;
-};
-
-/// One placement of a cell that carries geometry, in DFS order.
-struct CellInstance {
-  const GdsStructure* cell = nullptr;
-  Point offset;  ///< validated to keep the cell's geometry in int32
-};
-
-struct Expansion {
-  std::string top;
-  std::vector<CellInstance> instances;
-  std::unordered_set<const GdsStructure*> reachable;
-  std::int64_t visits = 0;  ///< cell placements materialised
-};
-
-std::string chainString(const std::vector<const GdsStructure*>& path,
-                        const std::string& repeat = {}) {
-  std::string s;
-  for (const GdsStructure* node : path) {
-    if (!s.empty()) s += " -> ";
-    s += node->name;
-  }
-  if (!repeat.empty()) {
-    if (!s.empty()) s += " -> ";
-    s += repeat;
-  }
-  return s;
-}
-
-/// Union bbox of a structure's OWN polygons (children are range-checked
-/// at their own visits).
-Rect ownBbox(const GdsStructure& s) {
-  Rect box = s.polygons.front().polygon.bbox();
-  for (std::size_t i = 1; i < s.polygons.size(); ++i) {
-    const Rect b = s.polygons[i].polygon.bbox();
-    box.x0 = std::min(box.x0, b.x0);
-    box.y0 = std::min(box.y0, b.y0);
-    box.x1 = std::max(box.x1, b.x1);
-    box.y1 = std::max(box.y1, b.y1);
-  }
-  return box;
-}
-
-Status expandInto(const GdsLibrary& lib, const GdsStructure& s,
-                  Offset64 offset, std::vector<const GdsStructure*>& path,
-                  std::unordered_map<const GdsStructure*, Rect>& bboxes,
-                  Expansion& out) {
-  for (const GdsStructure* onPath : path) {
-    if (onPath == &s) {
-      return Status(StatusCode::kInvalidArgument,
-                    "reference cycle in GDS hierarchy: " +
-                        chainString(path, s.name));
-    }
-  }
-  if (static_cast<int>(path.size()) >= kGdsMaxDepth) {
-    return Status(StatusCode::kInvalidArgument,
-                  "GDS hierarchy deeper than " +
-                      std::to_string(kGdsMaxDepth) + " levels at cell chain " +
-                      chainString(path, s.name));
-  }
-  path.push_back(&s);
-  out.reachable.insert(&s);
-  ++out.visits;
-
-  if (!s.polygons.empty()) {
-    auto it = bboxes.find(&s);
-    if (it == bboxes.end()) it = bboxes.emplace(&s, ownBbox(s)).first;
-    const Rect& box = it->second;
-    constexpr std::int64_t kMin = std::numeric_limits<std::int32_t>::min();
-    constexpr std::int64_t kMax = std::numeric_limits<std::int32_t>::max();
-    if (offset.x + box.x0 < kMin || offset.y + box.y0 < kMin ||
-        offset.x + box.x1 > kMax || offset.y + box.y1 > kMax) {
-      Status status(StatusCode::kInvalidArgument,
-                    "placement of cell '" + s.name + "' at offset (" +
-                        std::to_string(offset.x) + ", " +
-                        std::to_string(offset.y) +
-                        ") leaves the 32-bit coordinate space (chain " +
-                        chainString(path) + ")");
-      path.pop_back();
-      return status;
-    }
-    out.instances.push_back(
-        CellInstance{&s,
-                     Point{static_cast<std::int32_t>(offset.x),
-                           static_cast<std::int32_t>(offset.y)}});
-  }
-
-  for (const GdsSref& ref : s.srefs) {
-    const GdsStructure* child = lib.findStructure(ref.structName);
-    if (!child) continue;  // subset extraction: missing cells are skipped
-    const Offset64 at{offset.x + ref.offset.x, offset.y + ref.offset.y};
-    Status status = expandInto(lib, *child, at, path, bboxes, out);
-    if (!status.ok()) {
-      path.pop_back();
-      return status;
-    }
-  }
-  for (const GdsAref& ref : s.arefs) {
-    const GdsStructure* child = lib.findStructure(ref.structName);
-    if (!child) continue;
-    if (static_cast<std::int64_t>(ref.rows) * ref.columns > (1 << 22)) {
-      Status status(StatusCode::kInvalidArgument,
-                    "AREF of cell '" + ref.structName + "' declares " +
-                        std::to_string(ref.columns) + " x " +
-                        std::to_string(ref.rows) +
-                        " instances (cap 2^22) in cell '" + s.name + "'");
-      path.pop_back();
-      return status;
-    }
-    for (int r = 0; r < ref.rows; ++r) {
-      for (int c = 0; c < ref.columns; ++c) {
-        // int64 throughout: c,r reach 65534 and the pitches are int32,
-        // so the products alone can exceed int32 by a factor of 2^16.
-        const Offset64 at{
-            offset.x + ref.origin.x +
-                static_cast<std::int64_t>(c) * ref.columnPitch.x +
-                static_cast<std::int64_t>(r) * ref.rowPitch.x,
-            offset.y + ref.origin.y +
-                static_cast<std::int64_t>(c) * ref.columnPitch.y +
-                static_cast<std::int64_t>(r) * ref.rowPitch.y};
-        Status status = expandInto(lib, *child, at, path, bboxes, out);
-        if (!status.ok()) {
-          path.pop_back();
-          return status;
-        }
-      }
-    }
-  }
-  path.pop_back();
-  return {};
-}
-
-Status expandGds(const GdsLibrary& lib, const std::string& topStruct,
-                 Expansion& out) {
-  std::string topName = topStruct;
-  if (topName.empty()) {
-    Status status = findGdsTopStructure(lib, topName);
-    if (!status.ok()) return status;
-  }
-  const GdsStructure* top = lib.findStructure(topName);
-  if (!top) {
-    return Status(StatusCode::kInvalidArgument,
-                  "top structure '" + topName + "' not found in library");
-  }
-  out.top = topName;
-  std::vector<const GdsStructure*> path;
-  std::unordered_map<const GdsStructure*, Rect> bboxes;
-  return expandInto(lib, *top, {0, 0}, path, bboxes, out);
-}
 
 LayoutShape translatedShape(const LayoutShape& shape, Point offset) {
   LayoutShape t = shape;
@@ -241,14 +86,13 @@ Status validateCellRecord(const HierPlan& plan, const BatchConfig& config,
 void instantiatePlan(const HierPlan& plan,
                      const std::vector<CellFracture>& fractures,
                      const BatchConfig& config, HierarchicalResult& out) {
+  out.instanceShapes = planInstanceShapes(plan);
   for (const HierPlan::Instance& inst : plan.instances) {
     const HierPlan::Cell& cell =
         plan.cells[static_cast<std::size_t>(inst.cell)];
     const CellFracture& fracture =
         fractures[static_cast<std::size_t>(inst.cell)];
     for (std::size_t i = 0; i < cell.shapes.size(); ++i) {
-      out.instanceShapes.push_back(translatedShape(cell.shapes[i],
-                                                   inst.offset));
       Solution sol =
           fracture.solutions.size() > i ? fracture.solutions[i] : Solution{};
       for (Rect& shot : sol.shots) shot = shot.translated(inst.offset);
@@ -354,58 +198,23 @@ Status closePlanJournal(JournalWriter& journal, const std::string& path,
   return {};
 }
 
-}  // namespace
-
-Status hierarchicalInstanceShapes(const GdsLibrary& lib,
-                                  const std::string& topStruct,
-                                  std::vector<LayoutShape>& out,
-                                  std::string* resolvedTop) {
-  out.clear();
-  Expansion expansion;
-  Status status = expandGds(lib, topStruct, expansion);
-  if (!status.ok()) return status;
-  if (resolvedTop != nullptr) *resolvedTop = expansion.top;
-
-  // Group each distinct cell once; instances reuse the grouping.
-  std::unordered_map<const GdsStructure*, std::vector<LayoutShape>> byCell;
-  for (const CellInstance& inst : expansion.instances) {
-    auto it = byCell.find(inst.cell);
-    if (it == byCell.end()) {
-      std::vector<Polygon> rings;
-      rings.reserve(inst.cell->polygons.size());
-      for (const GdsPolygon& gp : inst.cell->polygons) {
-        rings.push_back(gp.polygon);
-      }
-      it = byCell.emplace(inst.cell, groupRings(std::move(rings))).first;
-    }
-    for (const LayoutShape& shape : it->second) {
-      out.push_back(translatedShape(shape, inst.offset));
-    }
-  }
-  return {};
-}
-
-Status planGdsHierarchy(const GdsLibrary& lib, const BatchConfig& config,
-                        const std::string& topStruct, HierPlan& out) {
+/// One plan cell per CONTENT key, in first-visit order: two GDS cells
+/// with identical geometry (under identical parameters) share one
+/// fracture, one cache slot and one plan index.
+void planExpansion(const GdsExpansion& expansion, const BatchConfig& config,
+                   HierPlan& out) {
   out = HierPlan{};
-  Expansion expansion;
-  Status status = expandGds(lib, topStruct, expansion);
-  if (!status.ok()) return status;
   out.topStruct = expansion.top;
   out.reachableCells = static_cast<int>(expansion.reachable.size());
   out.instancesExpanded = expansion.visits;
-
-  // One plan cell per CONTENT key, in first-visit order: two GDS cells
-  // with identical geometry (under identical parameters) share one
-  // fracture, one cache slot and one plan index.
   std::unordered_map<const GdsStructure*, int> cellToEntry;
   std::unordered_map<std::string, int> keyToEntry;
-  for (const CellInstance& inst : expansion.instances) {
-    auto it = cellToEntry.find(inst.cell);
+  for (const GdsInstance& inst : expansion.instances) {
+    auto it = cellToEntry.find(inst.structure);
     if (it == cellToEntry.end()) {
       std::vector<Polygon> rings;
-      rings.reserve(inst.cell->polygons.size());
-      for (const GdsPolygon& gp : inst.cell->polygons) {
+      rings.reserve(inst.structure->polygons.size());
+      for (const GdsPolygon& gp : inst.structure->polygons) {
         rings.push_back(gp.polygon);
       }
       std::vector<LayoutShape> shapes = groupRings(std::move(rings));
@@ -420,11 +229,27 @@ Status planGdsHierarchy(const GdsLibrary& lib, const BatchConfig& config,
                                            std::move(key)});
         keyToEntry.emplace(out.cells.back().key, index);
       }
-      it = cellToEntry.emplace(inst.cell, index).first;
+      it = cellToEntry.emplace(inst.structure, index).first;
     }
     out.instances.push_back(HierPlan::Instance{it->second, inst.offset});
   }
-  return {};
+}
+
+/// An input refusal: the one-line diagnostic is the whole message (the
+/// cause's code and byte offset carry over).
+Status inputError(const Status& cause, const std::string& message) {
+  return Status(cause.code(), message).withOffset(cause.byteOffset());
+}
+
+}  // namespace
+
+Status planGdsHierarchy(const GdsLibrary& lib, const BatchConfig& config,
+                        const std::string& topStruct, HierPlan& out) {
+  out = HierPlan{};
+  GdsExpansion expansion;
+  Status status = expandGds(lib, topStruct, expansion);
+  if (status.ok()) planExpansion(expansion, config, out);
+  return status;
 }
 
 void planFlatLayout(std::vector<LayoutShape> shapes,
@@ -443,14 +268,98 @@ void planFlatLayout(std::vector<LayoutShape> shapes,
   }
 }
 
+bool isGdsPath(const std::string& path) {
+  return path.size() > 4 && path.compare(path.size() - 4, 4, ".gds") == 0;
+}
+
+Status planInputFile(const std::string& path, bool hier,
+                     const std::string& topCell, const BatchConfig& config,
+                     HierPlan& out, std::string& warning) {
+  out = HierPlan{};
+  warning.clear();
+  const Status noPolygons(StatusCode::kInvalidArgument,
+                          "no polygons in " + path);
+  std::vector<Polygon> rings;  // the flat layout's rings
+  if (!isGdsPath(path)) {
+    PolyReadStats stats;
+    const Status st = parsePolygonsFile(path, rings, &stats);
+    if (!st.ok()) {
+      if (rings.empty()) {
+        return inputError(st, "cannot parse " + path + ": " + st.str());
+      }
+      // Line-tolerant parse: the polygons that survived are the layout.
+      warning = path + ": " + st.str() + " (" +
+                std::to_string(stats.badLines) + " bad line(s), " +
+                std::to_string(stats.skippedRings) + " skipped ring(s))";
+    }
+  } else {
+    GdsLibrary lib;
+    Status st = parseGdsFile(path, lib);
+    if (!st.ok()) {
+      return inputError(st, "cannot parse GDSII " + path + ": " + st.str());
+    }
+    GdsExpansion expansion;
+    st = expandGds(lib, topCell, expansion);
+    if (!st.ok()) {
+      return inputError(st, hier ? "hier: " + st.str()
+                                 : "cannot flatten GDSII " + path + ": " +
+                                       st.str());
+    }
+    if (expansion.instances.empty()) return noPolygons;
+    // One run fractures one mask layer: parseGds keeps LAYER/DATATYPE,
+    // and a file mixing several would be fractured as one merged mask.
+    std::set<std::pair<int, int>> layers;
+    for (const GdsStructure* s : expansion.reachable) {
+      for (const GdsPolygon& gp : s->polygons) {
+        layers.emplace(gp.layer, gp.datatype);
+      }
+    }
+    if (layers.size() > 1) {
+      std::string list;
+      for (const auto& [layer, datatype] : layers) {
+        if (!list.empty()) list += ", ";
+        list += std::to_string(layer) + "/" + std::to_string(datatype);
+      }
+      return Status(StatusCode::kUnsupported,
+                    path + " mixes " + std::to_string(layers.size()) +
+                        " layer/datatype pairs (" + list +
+                        ") in the polygons reachable from '" +
+                        expansion.top +
+                        "'; one run fractures one mask layer: split the "
+                        "file by layer");
+    }
+    if (hier) {
+      planExpansion(expansion, config, out);
+      return {};
+    }
+    for (GdsPolygon& gp : expansion.flattened()) {
+      rings.push_back(std::move(gp.polygon));
+    }
+  }
+  if (rings.empty()) return noPolygons;
+  planFlatLayout(groupRings(std::move(rings)), config, out);
+  return {};
+}
+
+std::vector<LayoutShape> planInstanceShapes(const HierPlan& plan) {
+  std::vector<LayoutShape> out;
+  for (const HierPlan::Instance& inst : plan.instances) {
+    for (const LayoutShape& shape :
+         plan.cells[static_cast<std::size_t>(inst.cell)].shapes) {
+      out.push_back(translatedShape(shape, inst.offset));
+    }
+  }
+  return out;
+}
+
 Status executePlan(const HierPlan& plan, const BatchConfig& config,
                    const HierOptions& options, HierarchicalResult& out,
                    RunCounters* countersOut) {
   const auto start = std::chrono::steady_clock::now();
   out = HierarchicalResult{};
   out.topStruct = plan.topStruct;
-  out.reachableCells = plan.reachableCells;
-  out.instancesExpanded = plan.instancesExpanded;
+  out.hier.reachableCells = plan.reachableCells;
+  out.hier.instancesExpanded = plan.instancesExpanded;
   RunCounters counters;
 
   const int numCells = static_cast<int>(plan.cells.size());
@@ -604,16 +513,16 @@ Status executePlan(const HierPlan& plan, const BatchConfig& config,
     if (!sealed.ok()) return sealed;
   }
 
-  out.uniqueCellsFractured = static_cast<int>(missCells.size());
-  out.uniqueShapesFractured = static_cast<int>(missSlot.size());
+  out.hier.uniqueCellsFractured = static_cast<int>(missCells.size());
+  out.hier.uniqueShapesFractured = static_cast<int>(missSlot.size());
   counters.freshCells = static_cast<int>(missCells.size());
   counters.freshShapes = static_cast<int>(missSlot.size());
   if (useCache) {
-    out.cellCacheHits = cache.stats().hits;
-    out.cellCacheMisses = cache.stats().misses;
-    out.cellCacheRejected = cache.stats().rejected;
+    out.hier.cacheHits = cache.stats().hits;
+    out.hier.cacheMisses = cache.stats().misses;
+    out.hier.cacheRejected = cache.stats().rejected;
   } else {
-    out.cellCacheMisses = static_cast<int>(missCells.size());
+    out.hier.cacheMisses = static_cast<int>(missCells.size());
   }
 
   // Store freshly fractured cells — but only CLEAN ones. A degraded or
@@ -638,10 +547,10 @@ Status executePlan(const HierPlan& plan, const BatchConfig& config,
                         fracture);
       if (cache.disabled()) break;  // further stores are no-ops anyway
     }
-    out.cellCacheIoErrors = cache.stats().ioErrors;
-    out.cellCacheEvicted = cache.stats().evicted;
-    out.cellCacheEvictionsSkippedLive = cache.stats().evictionsSkippedLive;
-    out.cellCacheDisabled = cache.disabled();
+    out.hier.cacheIoErrors = cache.stats().ioErrors;
+    out.hier.cacheEvicted = cache.stats().evicted;
+    out.hier.cacheEvictionsSkippedLive = cache.stats().evictionsSkippedLive;
+    out.hier.cacheDisabled = cache.disabled();
     if (cache.disabled()) {
       out.cellCacheDisableCause = cache.disableCause().str();
     }
@@ -685,18 +594,6 @@ Status executePlan(const HierPlan& plan, const BatchConfig& config,
   return appendError;
 }
 
-Status fractureGdsHierarchical(const GdsLibrary& lib,
-                               const BatchConfig& config,
-                               const HierOptions& options,
-                               HierarchicalResult& out,
-                               RunCounters* countersOut) {
-  out = HierarchicalResult{};
-  HierPlan plan;
-  Status status = planGdsHierarchy(lib, config, options.topStruct, plan);
-  if (!status.ok()) return status;
-  return executePlan(plan, config, options, out, countersOut);
-}
-
 Status executePlanSupervised(const HierPlan& plan, const BatchConfig& config,
                              const HierOptions& options,
                              SupervisorConfig supervisor,
@@ -706,8 +603,8 @@ Status executePlanSupervised(const HierPlan& plan, const BatchConfig& config,
   const auto start = std::chrono::steady_clock::now();
   out = HierarchicalResult{};
   out.topStruct = plan.topStruct;
-  out.reachableCells = plan.reachableCells;
-  out.instancesExpanded = plan.instancesExpanded;
+  out.hier.reachableCells = plan.reachableCells;
+  out.hier.instancesExpanded = plan.instancesExpanded;
   counters = RunCounters{};
   abortCause.clear();
   isolatedCells.clear();
@@ -838,8 +735,8 @@ Status executePlanSupervised(const HierPlan& plan, const BatchConfig& config,
     }
   }
 
-  out.uniqueCellsFractured = counters.freshCells;
-  out.uniqueShapesFractured = counters.freshShapes;
+  out.hier.uniqueCellsFractured = counters.freshCells;
+  out.hier.uniqueShapesFractured = counters.freshShapes;
   instantiatePlan(plan, fractures, config, out);
   out.wallSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

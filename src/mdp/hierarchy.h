@@ -3,6 +3,8 @@
 // layout -- executed in one pass: replay the journal, look up the cell
 // cache, fracture the misses in one parallelFor (or in --isolate worker
 // processes), then instantiate every unit at its placements.
+// planInputFile is the one front end from an input file to a plan; the
+// run and its --verify gate both go through it.
 //
 // Hierarchical mask fracturing: a GDSII cell referenced N times is
 // fractured ONCE and its shot list instantiated at every reference
@@ -16,8 +18,8 @@
 // (integer-nm) translation — pinned by the audit layer's metamorphic
 // test — so a cell's cell-local solution translated to an instance
 // offset is bitwise the solution a flat run would have produced there.
-// The instance expansion mirrors flattenGdsChecked's traversal order
-// (own polygons, then SREFs, then AREFs, row-major), so the hierarchical
+// Flat and hierarchical plans are built from the same walk (expandGds:
+// own polygons, then SREFs, then AREFs, row-major), so the hierarchical
 // shape list lines up one-to-one with the flattened one whenever
 // instances don't interleave ring containment.
 #pragma once
@@ -31,6 +33,7 @@
 #include "mdp/layout.h"
 #include "mdp/supervisor.h"
 #include "support/status.h"
+#include "support/telemetry.h"
 
 namespace mbf {
 
@@ -74,12 +77,32 @@ Status planGdsHierarchy(const GdsLibrary& lib, const BatchConfig& config,
 void planFlatLayout(std::vector<LayoutShape> shapes,
                     const BatchConfig& config, HierPlan& out);
 
-/// Execution options of a plan (the top structure is a planning input of
-/// fractureGdsHierarchical only).
+/// True when `path` names a GDSII input (".gds"); anything else is read
+/// as a .poly ring list.
+bool isGdsPath(const std::string& path);
+
+/// The one front end from an input file to a plan, shared by mbf_cli
+/// and --verify. A .poly is read line-tolerantly (bad lines and rings
+/// are skipped and summarized in `warning`; empty when the file parsed
+/// cleanly) and planned flat. A .gds is walked once from `topCell`
+/// (empty = auto-detected): planGdsHierarchy under `hier`, otherwise
+/// planFlatLayout of the grouped, flattened rings. Refused, with a
+/// one-line diagnostic naming the file as the message: an unreadable or
+/// unparseable file; a defective hierarchy (unresolvable top, cycle,
+/// depth, out-of-range placement, AREF cap); an input with no polygons;
+/// a .gds whose reachable BOUNDARYs carry more than one layer/datatype
+/// pair (the message lists them: one run fractures one mask layer).
+Status planInputFile(const std::string& path, bool hier,
+                     const std::string& topCell, const BatchConfig& config,
+                     HierPlan& out, std::string& warning);
+
+/// The plan's instantiated shape list: every instance's cell shapes
+/// translated to its offset, in instance order -- the layout a flat run
+/// over the same input fractures, one entry per result of executePlan.
+std::vector<LayoutShape> planInstanceShapes(const HierPlan& plan);
+
+/// Execution options of a plan.
 struct HierOptions {
-  /// Top structure for fractureGdsHierarchical; empty auto-detects via
-  /// findGdsTopStructure.
-  std::string topStruct;
   /// Persistent cell-fracture cache directory; empty = in-memory
   /// dedupe only (each unique cell still fractures once per run).
   std::string cellCacheDir;
@@ -114,32 +137,17 @@ struct HierarchicalResult {
 
   /// The resolved top structure name.
   std::string topStruct;
-
-  /// Cells reachable from the top (including polygon-less wrappers).
-  int reachableCells = 0;
-  /// Distinct content keys that had to be fractured this run (cache
-  /// misses + rejected entries; 0 on a fully warm run).
-  int uniqueCellsFractured = 0;
-  /// Shapes fractured this run (summed over fractured unique cells).
-  int uniqueShapesFractured = 0;
-  /// Persistent-cache outcome counts (all zero when no cache dir, and
-  /// zero in the supervised parent — workers own all cache I/O there).
-  int cellCacheHits = 0;
-  int cellCacheMisses = 0;
-  int cellCacheRejected = 0;
-  /// Quota-eviction candidates spared because a concurrently live
-  /// process had noted the key (multi-process cache sharing).
-  int cellCacheEvictionsSkippedLive = 0;
-  /// Cache I/O failures and quota evictions this run (section 18: the
-  /// cache degrades — a failure disables it with a counted warning and
-  /// the run completes uncached).
-  int cellCacheIoErrors = 0;
-  int cellCacheEvicted = 0;
-  bool cellCacheDisabled = false;
-  /// First failure that disabled the cache, one line, for the warning.
+  /// The run's hierarchy and cell-cache counters, as the manifest's
+  /// "hier" block records them: reachable cells and placements walked
+  /// (from the plan), unique cells and shapes fractured this run (cache
+  /// misses + rejected entries; 0 on a fully warm run), and the
+  /// persistent-cache outcomes (all zero without a cache dir, and in
+  /// the supervised parent -- workers own all cache I/O there). The
+  /// caller sets `enabled`, `topCell` and `cacheDir`.
+  RunManifestInfo::HierInfo hier;
+  /// First cache failure that disabled the cache, one line, for the
+  /// warning (section 18: the cache degrades, the run completes).
   std::string cellCacheDisableCause;
-  /// Cell placements materialised during expansion.
-  std::int64_t instancesExpanded = 0;
   double wallSeconds = 0.0;
   /// Supervised runs only: trace spans harvested from worker span files
   /// (SupervisorConfig::collectTraceSpans), merged into --trace-json.
@@ -174,7 +182,7 @@ struct HierarchicalResult {
 /// fractured and nothing is instantiated (worker shard: `out.batch`
 /// concatenates the range's cell-local results). Cache I/O failures
 /// never fail the run (the cache disables itself, counted in the
-/// cellCache* fields). A journal append or close failure downgrades the
+/// hier.cache* fields). A journal append or close failure downgrades the
 /// run: every result is still in `out`, counters.journalDowngraded is
 /// set, and the failure is returned.
 Status executePlan(const HierPlan& plan, const BatchConfig& config,
@@ -199,23 +207,5 @@ Status executePlanSupervised(const HierPlan& plan, const BatchConfig& config,
                              HierarchicalResult& out, RunCounters& counters,
                              std::string& abortCause,
                              std::vector<int>& isolatedCells);
-
-/// Reconstructs the instantiated shape list (top coordinates, expansion
-/// order) without fracturing anything — the layout a flat run over the
-/// same GDS would see. Used by the --verify gate to re-derive a
-/// hierarchical run's input. `resolvedTop`, when non-null, receives the
-/// top structure name actually used. Errors match fractureGdsHierarchical
-/// (unresolvable top, cycles, depth, out-of-range placements).
-Status hierarchicalInstanceShapes(const GdsLibrary& lib,
-                                  const std::string& topStruct,
-                                  std::vector<LayoutShape>& out,
-                                  std::string* resolvedTop = nullptr);
-
-/// planGdsHierarchy from options.topStruct, then executePlan.
-Status fractureGdsHierarchical(const GdsLibrary& lib,
-                               const BatchConfig& config,
-                               const HierOptions& options,
-                               HierarchicalResult& out,
-                               RunCounters* countersOut = nullptr);
 
 }  // namespace mbf

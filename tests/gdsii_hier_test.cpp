@@ -43,7 +43,7 @@ TEST(GdsiiHierTest, SrefRoundTrip) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   writeGds(ss, lib);
   GdsLibrary back;
-  ASSERT_TRUE(readGds(ss, back));
+  ASSERT_TRUE(parseGds(ss, back).ok());
   ASSERT_EQ(back.structures.size(), 2u);
   const GdsStructure* top = back.findStructure("TOP");
   ASSERT_NE(top, nullptr);
@@ -146,7 +146,7 @@ TEST(GdsiiHierTest, ArefRoundTripAndFlatten) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   writeGds(ss, lib);
   GdsLibrary back;
-  ASSERT_TRUE(readGds(ss, back));
+  ASSERT_TRUE(parseGds(ss, back).ok());
   const GdsStructure* t = back.findStructure("TOP");
   ASSERT_NE(t, nullptr);
   ASSERT_EQ(t->arefs.size(), 1u);
@@ -179,10 +179,11 @@ TEST(GdsiiHierTest, ArefHierarchicalFracture) {
   GdsStructure top{"TOP", {}, {}, {aref}};
   lib.structures = {top, cell};
 
+  HierPlan plan;
+  ASSERT_TRUE(planGdsHierarchy(lib, BatchConfig{}, "", plan).ok());
   HierarchicalResult r;
-  ASSERT_TRUE(
-      fractureGdsHierarchical(lib, BatchConfig{}, HierOptions{}, r).ok());
-  EXPECT_EQ(r.uniqueShapesFractured, 1);
+  ASSERT_TRUE(executePlan(plan, BatchConfig{}, HierOptions{}, r).ok());
+  EXPECT_EQ(r.hier.uniqueShapesFractured, 1);
   EXPECT_EQ(r.instantiatedShapes(), 12);
   EXPECT_EQ(r.flatShotCount(), 12);  // one shot per isolated square
 }

@@ -34,7 +34,7 @@ TEST(GdsiiTest, RoundTripPolygons) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   writeGds(ss, lib);
   GdsLibrary back;
-  ASSERT_TRUE(readGds(ss, back));
+  ASSERT_TRUE(parseGds(ss, back).ok());
   ASSERT_EQ(back.structures.size(), 1u);
   const GdsStructure& s0 = back.structures[0];
   ASSERT_EQ(s0.polygons.size(), 2u);
@@ -55,7 +55,7 @@ TEST(GdsiiTest, UnitsRoundTrip) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   writeGds(ss, lib);
   GdsLibrary back;
-  ASSERT_TRUE(readGds(ss, back));
+  ASSERT_TRUE(parseGds(ss, back).ok());
   EXPECT_NEAR(back.userUnitsPerDbUnit, 1e-3, 1e-12);
   EXPECT_NEAR(back.metersPerDbUnit, 1e-9, 1e-18);
 }
@@ -68,7 +68,7 @@ TEST(GdsiiTest, NegativeCoordinatesSurvive) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   writeGds(ss, lib);
   GdsLibrary back;
-  ASSERT_TRUE(readGds(ss, back));
+  ASSERT_TRUE(parseGds(ss, back).ok());
   ASSERT_EQ(back.structures.size(), 1u);
   const auto& polys = back.structures[0].polygons;
   ASSERT_EQ(polys.size(), 1u);
@@ -81,7 +81,7 @@ TEST(GdsiiTest, EmptyLibrary) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   writeGds(ss, lib);
   GdsLibrary back;
-  ASSERT_TRUE(readGds(ss, back));
+  ASSERT_TRUE(parseGds(ss, back).ok());
   // Nothing to flatten: the checked traversal names the empty library.
   std::vector<GdsPolygon> flat;
   const Status st = flattenGdsChecked(back, "", flat);
@@ -93,7 +93,7 @@ TEST(GdsiiTest, GarbageRejected) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   ss << "this is not gdsii at all, definitely";
   GdsLibrary back;
-  EXPECT_FALSE(readGds(ss, back));
+  EXPECT_FALSE(parseGds(ss, back).ok());
 }
 
 TEST(GdsiiTest, TruncatedStreamRejected) {
@@ -104,7 +104,7 @@ TEST(GdsiiTest, TruncatedStreamRejected) {
   std::stringstream truncated(bytes.substr(0, bytes.size() / 2),
                               std::ios::in | std::ios::binary);
   GdsLibrary back;
-  EXPECT_FALSE(readGds(truncated, back));
+  EXPECT_FALSE(parseGds(truncated, back).ok());
 }
 
 TEST(GdsiiTest, FileRoundTrip) {
@@ -112,7 +112,7 @@ TEST(GdsiiTest, FileRoundTrip) {
   const std::string path = "gdsii_test_tmp.gds";
   ASSERT_TRUE(saveGds(path, lib));
   GdsLibrary back;
-  ASSERT_TRUE(loadGds(path, back));
+  ASSERT_TRUE(parseGdsFile(path, back).ok());
   std::vector<GdsPolygon> flat;
   ASSERT_TRUE(flattenGdsChecked(back, "", flat).ok());
   EXPECT_EQ(flat.size(), 2u);
@@ -125,7 +125,7 @@ TEST(GdsiiTest, OddLengthNamesPadded) {
   std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
   writeGds(ss, lib);
   GdsLibrary back;
-  ASSERT_TRUE(readGds(ss, back));
+  ASSERT_TRUE(parseGds(ss, back).ok());
   EXPECT_EQ(back.libName, "ODD");
 }
 

@@ -20,9 +20,12 @@
 //      byte-identical.
 //   5. Invalidation: changing one fracture parameter (--gamma) misses
 //      every cell; the repeat under the new key hits every cell.
-//   6. Corpus: cyclic, over-deep and coordinate-overflowing GDS inputs
-//      exit 3 with diagnostics naming the defect; an ambiguous root
-//      without --top-cell names the candidates.
+//   6. Corpus: cyclic, over-deep, coordinate-overflowing and over-cap
+//      AREF inputs, an ambiguous root, an unknown --top-cell, an empty
+//      top, a top holding only an empty cell and a two-layer file each
+//      exit 3 with one line naming the defect, flat and --hier alike;
+//      --verify refuses an input that turned empty or two-layer since
+//      the run with the same diagnostic.
 //   7. --selfcheck audits hierarchically produced shots clean.
 //   8. Crash-at-every-frame: for every prefix k of the cell journal
 //      (the exact state a SIGKILL between frames k and k+1 leaves,
@@ -325,58 +328,116 @@ int main(int argc, char** argv) {
                 std::string::npos,
         "repeat under new key: all hits");
 
-  // --- Drill 6: defective-hierarchy corpus ------------------------------
+  // --- Drill 6: refused-input corpus -----------------------------------
+  // Every input the front end refuses exits 3 in flat mode and under
+  // --hier alike, printing exactly one line: the diagnostic.
   {
-    mbf::GdsLibrary cyc;
-    mbf::GdsStructure a{
-        "A", {poly({{0, 0}, {40, 0}, {40, 40}, {0, 40}})}, {{"B", {10, 0}}},
-        {}};
-    mbf::GdsStructure b{
-        "B", {poly({{0, 0}, {40, 0}, {40, 40}, {0, 40}})}, {{"A", {10, 0}}},
-        {}};
-    cyc.structures = {a, b};
-    const std::string path = dir + "/cycle.gds";
-    check(writeGdsFile(path, cyc), "corpus: cycle.gds written");
-    std::string log;
-    check(runCli(cli, {path, dir + "/cycle.shots", "--hier",
-                       "--top-cell=A"},
-                 &log) == 3 &&
-              log.find("cycle") != std::string::npos,
-          "cyclic hierarchy: --hier exits 3 naming the cycle");
-    check(runCli(cli, {path, dir + "/cycle.shots", "--top-cell=A"}, &log) ==
-                  3 &&
-              log.find("cycle") != std::string::npos,
-          "cyclic hierarchy: flat run exits 3 naming the cycle");
-  }
-  {
-    const std::string path = dir + "/deep.gds";
-    check(writeGdsFile(path, chainLib(70)), "corpus: deep.gds written");
-    std::string log;
-    check(runCli(cli, {path, dir + "/deep.shots", "--hier"}, &log) == 3 &&
-              log.find("deeper than") != std::string::npos,
-          "over-deep hierarchy: exits 3 naming the depth");
-  }
-  {
-    mbf::GdsLibrary far;
-    mbf::GdsStructure cell{
-        "CELL", {poly({{0, 0}, {80, 0}, {80, 80}, {0, 80}})}, {}, {}};
-    mbf::GdsStructure top{"TOP", {}, {{"CELL", {2147483600, 0}}}, {}};
-    far.structures = {top, cell};
-    const std::string path = dir + "/range.gds";
-    check(writeGdsFile(path, far), "corpus: range.gds written");
-    std::string log;
-    check(runCli(cli, {path, dir + "/range.shots", "--hier"}, &log) == 3 &&
-              log.find("32-bit") != std::string::npos,
-          "out-of-range placement: exits 3 naming the overflow");
-  }
-  {
+    struct Refusal {
+      std::string name;
+      mbf::GdsLibrary lib;
+      std::vector<std::string> args;
+      std::vector<std::string> needles;
+    };
+    const mbf::GdsPolygon square = poly({{0, 0}, {40, 0}, {40, 40}, {0, 40}});
+    std::vector<Refusal> corpus;
+    {
+      mbf::GdsLibrary cyc;
+      cyc.structures = {{"A", {square}, {{"B", {10, 0}}}, {}},
+                        {"B", {square}, {{"A", {10, 0}}}, {}}};
+      corpus.push_back(
+          {"cycle", cyc, {"--top-cell=A"}, {"cycle", "A -> B -> A"}});
+    }
+    corpus.push_back({"deep", chainLib(70), {}, {"deeper than"}});
+    {
+      mbf::GdsLibrary far;
+      far.structures = {
+          {"TOP", {}, {{"CELL", {2147483600, 0}}}, {}},
+          {"CELL", {poly({{0, 0}, {80, 0}, {80, 80}, {0, 80}})}, {}, {}}};
+      corpus.push_back({"range", far, {}, {"32-bit"}});
+    }
     // The main layout's ORPHAN makes the root ambiguous without
     // --top-cell; the diagnostic must name the candidates.
-    std::string log;
-    check(runCli(cli, {input, dir + "/ambig.shots", "--hier"}, &log) == 3 &&
-              log.find("ORPHAN") != std::string::npos &&
-              log.find("TOP") != std::string::npos,
-          "ambiguous root: exits 3 naming the candidates");
+    corpus.push_back({"ambiguous", drillLib(), {}, {"ORPHAN", "TOP"}});
+    {
+      // 4096 x 1025 instances: just over the 2^22 cap.
+      mbf::GdsLibrary huge;
+      huge.structures = {{"TOP", {}, {}, {aref("CELL", {0, 0}, 4096, 1025,
+                                                100)}},
+                         {"CELL", {square}, {}, {}}};
+      corpus.push_back({"aref_cap", huge, {}, {"cap 2^22"}});
+    }
+    corpus.push_back({"unknown_top", drillLib(), {"--top-cell=NOPE"},
+                      {"'NOPE' not found"}});
+    {
+      mbf::GdsLibrary empty;
+      empty.structures = {{"TOP", {}, {}, {}}};
+      corpus.push_back(
+          {"empty_top", empty, {}, {"no polygons in", "empty_top.gds"}});
+      mbf::GdsLibrary hollow;
+      hollow.structures = {{"TOP", {}, {{"EMPTY", {0, 0}}}, {}},
+                           {"EMPTY", {}, {}, {}}};
+      corpus.push_back(
+          {"empty_cell", hollow, {}, {"no polygons in", "empty_cell.gds"}});
+    }
+    {
+      mbf::GdsPolygon other = square;
+      other.layer = 1;
+      mbf::GdsLibrary layers;
+      layers.structures = {{"TOP", {square}, {{"CELL", {100, 0}}}, {}},
+                           {"CELL", {other}, {}, {}}};
+      corpus.push_back(
+          {"two_layers", layers, {}, {"0/0, 1/0", "two_layers.gds"}});
+    }
+    for (const Refusal& c : corpus) {
+      const std::string path = dir + "/" + c.name + ".gds";
+      check(writeGdsFile(path, c.lib), "corpus: " + c.name + ".gds written");
+      for (const std::string mode : {"flat", "--hier"}) {
+        std::vector<std::string> args = {path, dir + "/" + c.name + ".shots"};
+        args.insert(args.end(), c.args.begin(), c.args.end());
+        if (mode != "flat") args.push_back(mode);
+        std::string log;
+        bool ok = runCli(cli, args, &log) == 3 &&
+                  std::count(log.begin(), log.end(), '\n') == 1;
+        for (const std::string& needle : c.needles) {
+          ok = ok && log.find(needle) != std::string::npos;
+        }
+        check(ok, c.name + " (" + mode + "): exits 3, one diagnostic");
+      }
+    }
+  }
+
+  // --verify re-derives the layout through the same front end: an input
+  // that turned empty or multi-layer since the run is refused with the
+  // run's own diagnostic.
+  {
+    mbf::GdsLibrary one;
+    one.structures = {
+        {"TOP", {poly({{0, 0}, {40, 0}, {40, 40}, {0, 40}})}, {}, {}}};
+    mbf::GdsLibrary empty;
+    empty.structures = {{"TOP", {}, {}, {}}};
+    mbf::GdsLibrary layers = one;
+    layers.structures[0].polygons.push_back(
+        poly({{100, 0}, {140, 0}, {140, 40}, {100, 40}}));
+    layers.structures[0].polygons.back().datatype = 2;
+    for (const std::string mode : {"flat", "--hier"}) {
+      const std::string path = dir + "/reverify.gds";
+      const std::string json = dir + "/reverify.json";
+      std::vector<std::string> args = {path, dir + "/reverify.shots",
+                                       "--metrics-json=" + json};
+      if (mode != "flat") args.push_back(mode);
+      check(writeGdsFile(path, one) && runCli(cli, args) == 0 &&
+                runCli(cli, {"--verify", json}) == 0,
+            "reverify (" + mode + "): clean run passes --verify");
+      std::string log;
+      check(writeGdsFile(path, empty) &&
+                runCli(cli, {"--verify", json}, &log) == 6 &&
+                log.find("no polygons in") != std::string::npos,
+            "reverify (" + mode + "): emptied input refused");
+      check(writeGdsFile(path, layers) &&
+                runCli(cli, {"--verify", json}, &log) == 6 &&
+                log.find("0/0, 0/2") != std::string::npos,
+            "reverify (" + mode + "): two-layer input refused");
+    }
   }
 
   // --- Drill 7: --selfcheck on hierarchically produced shots ------------

@@ -46,23 +46,42 @@ GdsLibrary arrayLib(int instances) {
   return lib;
 }
 
+// planGdsHierarchy + executePlan: what a --hier run does after parsing.
+Status fractureHier(const GdsLibrary& lib, const BatchConfig& config,
+                    const std::string& top, const HierOptions& options,
+                    HierarchicalResult& out) {
+  HierPlan plan;
+  const Status st = planGdsHierarchy(lib, config, top, plan);
+  if (!st.ok()) return st;
+  return executePlan(plan, config, options, out);
+}
+
 HierarchicalResult mustFracture(const GdsLibrary& lib,
                                 const BatchConfig& config = {},
-                                const HierOptions& options = {}) {
+                                const std::string& top = {}) {
   HierarchicalResult r;
-  const Status st = fractureGdsHierarchical(lib, config, options, r);
+  const Status st = fractureHier(lib, config, top, HierOptions{}, r);
   EXPECT_TRUE(st.ok()) << st.str();
   return r;
+}
+
+// The instantiated shape list of the hierarchy under the auto-detected
+// top (planInstanceShapes over planGdsHierarchy).
+Status instanceShapes(const GdsLibrary& lib, std::vector<LayoutShape>& out) {
+  HierPlan plan;
+  const Status st = planGdsHierarchy(lib, BatchConfig{}, "", plan);
+  out = planInstanceShapes(plan);
+  return st;
 }
 
 TEST(HierarchyTest, OneFracturePerUniqueCell) {
   const HierarchicalResult r = mustFracture(arrayLib(5));
   // CELL fractured once; TOP has no own polygons but is reachable.
-  EXPECT_EQ(r.uniqueShapesFractured, 1);
-  EXPECT_EQ(r.uniqueCellsFractured, 1);
+  EXPECT_EQ(r.hier.uniqueShapesFractured, 1);
+  EXPECT_EQ(r.hier.uniqueCellsFractured, 1);
   EXPECT_EQ(r.instantiatedShapes(), 5);
-  EXPECT_EQ(r.reachableCells, 2);
-  EXPECT_EQ(r.instancesExpanded, 6);  // TOP + 5 CELL placements
+  EXPECT_EQ(r.hier.reachableCells, 2);
+  EXPECT_EQ(r.hier.instancesExpanded, 6);  // TOP + 5 CELL placements
   // Every instance carries the same number of shots.
   EXPECT_EQ(r.flatShotCount() % 5, 0);
   EXPECT_GE(r.flatShotCount(), 5 * 2);  // an L needs >= 2 shots
@@ -109,7 +128,7 @@ TEST(HierarchyTest, MixedOwnPolygonsAndRefs) {
   GdsStructure top{"TOP", {own}, {{"CELL", {0, 300}}}, {}};
   lib.structures = {top, cell};
   const HierarchicalResult r = mustFracture(lib);
-  EXPECT_EQ(r.uniqueShapesFractured, 2);  // TOP's square + CELL's L
+  EXPECT_EQ(r.hier.uniqueShapesFractured, 2);  // TOP's square + CELL's L
   EXPECT_EQ(r.instantiatedShapes(), 2);
   // Shot for the square at its own coordinates, L shots shifted by 300.
   bool sawSquare = false;
@@ -144,7 +163,18 @@ TEST(HierarchyTest, CellShapesFractureUnderTheirFirstInstanceFlatIndex) {
 
   const HierarchicalResult r = mustFracture(lib, config);
   std::vector<LayoutShape> flatShapes;
-  ASSERT_TRUE(hierarchicalInstanceShapes(lib, "", flatShapes).ok());
+  ASSERT_TRUE(instanceShapes(lib, flatShapes).ok());
+  // The order oracle: the plan's instance shapes are the flattened
+  // polygons, one to one, in the same walk order.
+  std::vector<GdsPolygon> flatPolys;
+  ASSERT_TRUE(flattenGdsChecked(lib, "", flatPolys).ok());
+  ASSERT_EQ(flatShapes.size(), flatPolys.size());
+  for (std::size_t i = 0; i < flatPolys.size(); ++i) {
+    ASSERT_EQ(flatShapes[i].rings.size(), 1u);
+    EXPECT_EQ(flatShapes[i].rings[0].vertices(),
+              flatPolys[i].polygon.vertices())
+        << "shape " << i;
+  }
   const BatchResult flat = fractureLayoutParallel(flatShapes, config);
   ASSERT_EQ(r.batch.reports.size(), 3u);
   ASSERT_EQ(flat.reports.size(), 3u);
@@ -160,7 +190,7 @@ TEST(HierarchyTest, CellShapesFractureUnderTheirFirstInstanceFlatIndex) {
 TEST(HierarchyTest, EmptyLibraryIsAnError) {
   HierarchicalResult r;
   const Status st =
-      fractureGdsHierarchical(GdsLibrary{}, BatchConfig{}, HierOptions{}, r);
+      fractureHier(GdsLibrary{}, BatchConfig{}, "", HierOptions{}, r);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
 }
@@ -181,8 +211,7 @@ TEST(HierarchyTest, MultipleRootsNeedExplicitTop) {
   GdsStructure orphan{"ORPHAN", {lPoly()}, {}, {}};
   lib.structures.push_back(orphan);
   HierarchicalResult r;
-  const Status st =
-      fractureGdsHierarchical(lib, BatchConfig{}, HierOptions{}, r);
+  const Status st = fractureHier(lib, BatchConfig{}, "", HierOptions{}, r);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("TOP"), std::string::npos) << st.message();
   EXPECT_NE(st.message().find("ORPHAN"), std::string::npos) << st.message();
@@ -197,11 +226,9 @@ TEST(HierarchyTest, UnreachableCellNotFracturedOrCounted) {
   big.polygon = Polygon({{0, 0}, {900, 0}, {900, 900}, {0, 900}});
   GdsStructure orphan{"ORPHAN", {big, big, big}, {}, {}};
   lib.structures.push_back(orphan);
-  HierOptions options;
-  options.topStruct = "TOP";
-  const HierarchicalResult r = mustFracture(lib, BatchConfig{}, options);
-  EXPECT_EQ(r.uniqueShapesFractured, 1);  // CELL only, never ORPHAN
-  EXPECT_EQ(r.reachableCells, 2);
+  const HierarchicalResult r = mustFracture(lib, BatchConfig{}, "TOP");
+  EXPECT_EQ(r.hier.uniqueShapesFractured, 1);  // CELL only, never ORPHAN
+  EXPECT_EQ(r.hier.reachableCells, 2);
   EXPECT_EQ(r.instantiatedShapes(), 3);
 }
 
@@ -221,7 +248,7 @@ TEST(HierarchyTest, DeepChainIsComplete) {
     lib.structures.push_back(std::move(s));
   }
   std::vector<LayoutShape> shapes;
-  const Status st = hierarchicalInstanceShapes(lib, "", shapes);
+  const Status st = instanceShapes(lib, shapes);
   ASSERT_TRUE(st.ok()) << st.str();
   ASSERT_EQ(shapes.size(), 1u);
   // The leaf's L, translated by 11 hops of 10 nm.
@@ -244,7 +271,7 @@ TEST(HierarchyTest, OverDeepChainIsAnError) {
     lib.structures.push_back(std::move(s));
   }
   std::vector<LayoutShape> shapes;
-  const Status st = hierarchicalInstanceShapes(lib, "", shapes);
+  const Status st = instanceShapes(lib, shapes);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("deeper than"), std::string::npos)
       << st.message();
@@ -256,9 +283,7 @@ TEST(HierarchyTest, CycleIsAnErrorNamingTheChain) {
   GdsStructure b{"B", {lPoly()}, {{"A", {10, 0}}}, {}};
   lib.structures = {a, b};
   HierarchicalResult r;
-  HierOptions options;
-  options.topStruct = "A";
-  const Status st = fractureGdsHierarchical(lib, BatchConfig{}, options, r);
+  const Status st = fractureHier(lib, BatchConfig{}, "A", HierOptions{}, r);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("cycle"), std::string::npos) << st.message();
   EXPECT_NE(st.message().find("A -> B -> A"), std::string::npos)
@@ -279,7 +304,7 @@ TEST(HierarchyTest, ArefPlacementUsesInt64Arithmetic) {
   GdsStructure top{"TOP", {}, {}, {aref}};
   lib.structures = {top, cell};
   std::vector<LayoutShape> shapes;
-  const Status st = hierarchicalInstanceShapes(lib, "", shapes);
+  const Status st = instanceShapes(lib, shapes);
   ASSERT_TRUE(st.ok()) << st.str();
   ASSERT_EQ(shapes.size(), 3u);
   EXPECT_EQ(shapes[0].rings.front().bbox().x0, -2000000000);
@@ -293,7 +318,7 @@ TEST(HierarchyTest, OutOfRangePlacementIsRejected) {
   GdsStructure top{"TOP", {}, {{"CELL", {2147483600, 0}}}, {}};
   lib.structures = {top, cell};
   std::vector<LayoutShape> shapes;
-  const Status st = hierarchicalInstanceShapes(lib, "", shapes);
+  const Status st = instanceShapes(lib, shapes);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.message().find("32-bit"), std::string::npos) << st.message();
 }
@@ -571,22 +596,21 @@ TEST(CellCacheTest, WarmHierRunIsBitIdenticalWithZeroFractures) {
 
   BatchConfig config;
   HierOptions options;
-  options.topStruct = "TOP";
   options.cellCacheDir = dir.path;
 
   HierarchicalResult cold;
-  ASSERT_TRUE(fractureGdsHierarchical(lib, config, options, cold).ok());
-  EXPECT_EQ(cold.cellCacheHits, 0);
-  EXPECT_EQ(cold.cellCacheMisses, 2);
-  EXPECT_EQ(cold.uniqueCellsFractured, 2);
-  EXPECT_EQ(cold.uniqueShapesFractured, 2);
+  ASSERT_TRUE(fractureHier(lib, config, "TOP", options, cold).ok());
+  EXPECT_EQ(cold.hier.cacheHits, 0);
+  EXPECT_EQ(cold.hier.cacheMisses, 2);
+  EXPECT_EQ(cold.hier.uniqueCellsFractured, 2);
+  EXPECT_EQ(cold.hier.uniqueShapesFractured, 2);
 
   HierarchicalResult warm;
-  ASSERT_TRUE(fractureGdsHierarchical(lib, config, options, warm).ok());
-  EXPECT_EQ(warm.cellCacheHits, 2);
-  EXPECT_EQ(warm.cellCacheMisses, 0);
-  EXPECT_EQ(warm.uniqueCellsFractured, 0);   // zero fractures performed
-  EXPECT_EQ(warm.uniqueShapesFractured, 0);
+  ASSERT_TRUE(fractureHier(lib, config, "TOP", options, warm).ok());
+  EXPECT_EQ(warm.hier.cacheHits, 2);
+  EXPECT_EQ(warm.hier.cacheMisses, 0);
+  EXPECT_EQ(warm.hier.uniqueCellsFractured, 0);  // zero fractures performed
+  EXPECT_EQ(warm.hier.uniqueShapesFractured, 0);
   // Bitwise identity except runtimeSeconds (stored canonicalized to
   // zero — no fracture happened in the warm run, so a replayed runtime
   // would be fiction): warm solutions are replayed bytes, not
@@ -600,10 +624,9 @@ TEST(CellCacheTest, WarmHierRunIsBitIdenticalWithZeroFractures) {
   BatchConfig changed = config;
   changed.params.gamma = 3.0;
   HierarchicalResult invalidated;
-  ASSERT_TRUE(
-      fractureGdsHierarchical(lib, changed, options, invalidated).ok());
-  EXPECT_EQ(invalidated.cellCacheHits, 0);
-  EXPECT_EQ(invalidated.uniqueCellsFractured, 2);
+  ASSERT_TRUE(fractureHier(lib, changed, "TOP", options, invalidated).ok());
+  EXPECT_EQ(invalidated.hier.cacheHits, 0);
+  EXPECT_EQ(invalidated.hier.uniqueCellsFractured, 2);
 }
 
 }  // namespace

@@ -122,8 +122,10 @@
 //                                merge (instead of chrome JSON)
 //
 // Input: flat .poly ring list (blank-line separated) or a .gds file
-// (BOUNDARY elements); rings nested in another ring are holes. Output:
-// one "x0 y0 x1 y1" shot per line, with '#' comments separating shapes.
+// (BOUNDARY elements on one layer/datatype), read by planInputFile, the
+// front end --verify shares; rings nested in another ring are holes.
+// Output: one "x0 y0 x1 y1" shot per line, with '#' comments separating
+// shapes.
 //
 // Exit codes:
 //   0  every shape fractured by the primary method, Eq. 4 feasible
@@ -132,8 +134,9 @@
 //      --metrics-json, --trace-json) could not be written, or a journal
 //      append failed mid-batch and the run completed unjournaled (the
 //      .shots artifact is intact; the journal artifact was dropped)
-//   3  input or output I/O error (unreadable, unparseable, empty input),
-//      or a fatal journal/supervisor error
+//   3  input or output I/O error (unreadable, unparseable or empty
+//      input, a defective GDS hierarchy, a .gds mixing layers), or a
+//      fatal journal/supervisor error
 //   4  completed without degradation but with failing pixels — or, with
 //      --strict, any per-shape failure
 //   5  partial success: completed, but one or more shapes crashed their
@@ -529,8 +532,7 @@ int main(int argc, char** argv) {
                  "(spawned by --isolate)\n";
     return usage();
   }
-  const bool gdsInput = inputPath.size() > 4 &&
-                        inputPath.substr(inputPath.size() - 4) == ".gds";
+  const bool gdsInput = isGdsPath(inputPath);
   if (hier && !gdsInput) {
     std::cerr << "--hier requires a .gds input (hierarchy lives in the "
                  "GDS structure tree)\n";
@@ -603,62 +605,23 @@ int main(int argc, char** argv) {
     TraceRecorder::instance().enable();
   }
 
-  std::vector<Polygon> rings;
-  GdsLibrary gdsLib;
-  if (gdsInput) {
-    const Status st = parseGdsFile(inputPath, gdsLib);
-    if (!st.ok()) {
-      std::cerr << "cannot parse GDSII " << inputPath << ": " << st.str()
-                << "\n";
-      return 3;
-    }
-    if (!hier) {
-      // Checked flatten: a cycle, depth overflow or out-of-range
-      // placement is a hard input error, never silently fewer shots.
-      std::vector<GdsPolygon> flat;
-      const Status fs = flattenGdsChecked(gdsLib, topCell, flat);
-      if (!fs.ok()) {
-        std::cerr << "cannot flatten GDSII " << inputPath << ": " << fs.str()
-                  << "\n";
-        return 3;
-      }
-      for (GdsPolygon& gp : flat) {
-        rings.push_back(std::move(gp.polygon));
-      }
-    }
-  } else {
-    PolyReadStats stats;
-    const Status st = parsePolygonsFile(inputPath, rings, &stats);
-    if (!st.ok()) {
-      if (rings.empty()) {
-        std::cerr << "cannot parse " << inputPath << ": " << st.str() << "\n";
-        return 3;
-      }
-      // Line-tolerant parse: some polygons survived, report and go on.
-      std::cerr << "warning: " << inputPath << ": " << st.str() << " ("
-                << stats.badLines << " bad line(s), " << stats.skippedRings
-                << " skipped ring(s))\n";
-    }
-  }
-  if (!hier && rings.empty()) {
-    std::cerr << "no polygons in " << inputPath << "\n";
-    return 3;
-  }
-
   // Plan: GDS cells under --hier, otherwise one unit per flat shape.
   // Either way the plan executor below runs the same pipeline.
   HierPlan plan;
-  if (hier) {
-    const Status st = planGdsHierarchy(gdsLib, config, topCell, plan);
+  {
+    std::string warning;
+    const Status st =
+        planInputFile(inputPath, hier, topCell, config, plan, warning);
     if (!st.ok()) {
-      std::cerr << "hier: " << st.str() << "\n";
+      std::cerr << st.message() << "\n";
       return 3;
     }
-  } else {
-    std::vector<LayoutShape> shapes = groupRings(std::move(rings));
-    std::cerr << "fracturing " << shapes.size() << " shape(s) with method '"
-              << toString(config.method) << "'...\n";
-    planFlatLayout(std::move(shapes), config, plan);
+    if (!warning.empty()) std::cerr << "warning: " << warning << "\n";
+  }
+  if (!hier) {
+    std::cerr << "fracturing " << plan.cells.size()
+              << " shape(s) with method '" << toString(config.method)
+              << "'...\n";
   }
 
   HierOptions runOptions;
@@ -753,36 +716,27 @@ int main(int argc, char** argv) {
   // Record the flatten/expansion root even for flat .gds runs, so
   // --verify re-derives the layout from the same structure (an explicit
   // --top-cell may disambiguate roots the auto-detection would refuse).
+  // Flat runs keep the block's counters at zero.
   hierInfo.topCell = topCell;
   if (hier) {
+    hierInfo = run.hier;
     hierInfo.enabled = true;
     hierInfo.topCell = run.topStruct;
     hierInfo.cacheDir = cellCacheDir;
-    hierInfo.reachableCells = run.reachableCells;
-    hierInfo.uniqueCellsFractured = run.uniqueCellsFractured;
-    hierInfo.uniqueShapesFractured = run.uniqueShapesFractured;
-    hierInfo.cacheHits = run.cellCacheHits;
-    hierInfo.cacheMisses = run.cellCacheMisses;
-    hierInfo.cacheRejected = run.cellCacheRejected;
-    hierInfo.instancesExpanded = run.instancesExpanded;
-    hierInfo.cacheIoErrors = run.cellCacheIoErrors;
-    hierInfo.cacheEvicted = run.cellCacheEvicted;
-    hierInfo.cacheEvictionsSkippedLive = run.cellCacheEvictionsSkippedLive;
-    hierInfo.cacheDisabled = run.cellCacheDisabled;
-    if (run.cellCacheDisabled) {
+    if (hierInfo.cacheDisabled) {
       // Degrade-don't-die: the cache is an accelerator, never a
       // correctness dependency; a sick cache filesystem costs speed on
       // the NEXT run, not this run's shots.
       std::cerr << "cell-cache: disabled for the rest of the run after "
-                << run.cellCacheIoErrors << " I/O error(s): "
+                << hierInfo.cacheIoErrors << " I/O error(s): "
                 << run.cellCacheDisableCause << "\n";
     }
     std::cerr << "hier: top '" << run.topStruct << "', "
-              << run.reachableCells << " reachable cell(s), "
-              << run.cellCacheHits << " cache hit(s), "
-              << run.uniqueCellsFractured << " fractured, "
-              << run.instancesExpanded << " instance(s), " << shapes.size()
-              << " instantiated shape(s)\n";
+              << hierInfo.reachableCells << " reachable cell(s), "
+              << hierInfo.cacheHits << " cache hit(s), "
+              << hierInfo.uniqueCellsFractured << " fractured, "
+              << hierInfo.instancesExpanded << " instance(s), "
+              << shapes.size() << " instantiated shape(s)\n";
   }
 
   if (orderForWriter) {
