@@ -245,7 +245,7 @@ AuditReport auditShotSections(const std::vector<LayoutShape>& shapes,
                               const FractureParams& params,
                               std::span<const ShotSection> sections,
                               std::span<const ShapeExpectation> expectations,
-                              int threads, int shapeIndexBase) {
+                              int threads) {
   AuditReport report;
   if (sections.size() != shapes.size()) {
     report.findings.push_back(
@@ -278,12 +278,10 @@ AuditReport auditShotSections(const std::vector<LayoutShape>& shapes,
     std::vector<std::string>& out = findings[i];
     const ShotSection& section = sections[i];
     const ShapeExpectation& expect = expectations[i];
-    const int wantIndex = shapeIndexBase + idx;
-
-    if (section.index != wantIndex) {
+    if (section.index != idx) {
       out.push_back("section header says shape " +
                     std::to_string(section.index) + ", expected " +
-                    std::to_string(wantIndex));
+                    std::to_string(idx));
     }
     if (section.claimedShots !=
         static_cast<int>(section.shots.size())) {
@@ -372,7 +370,7 @@ AuditReport auditShotSections(const std::vector<LayoutShape>& shapes,
   for (std::size_t i = 0; i < n; ++i) {
     for (std::string& what : findings[i]) {
       report.findings.push_back(
-          {shapeIndexBase + static_cast<int>(i), std::move(what)});
+          {static_cast<int>(i), std::move(what)});
     }
   }
   return report;

@@ -206,8 +206,6 @@ Status verifyRun(const VerifyOptions& options, VerifyReport& out) {
                              "' is not a known method");
   }
   batch.allowDegradation = !boolOr(config->find("strict"), false);
-  batch.shapeIndexBase =
-      static_cast<int>(numberOr(config->find("shape_index_base"), 0));
   const bool ordered = boolOr(config->find("ordered"), false);
   const bool hier = boolOr(config->find("hier"), false);
   const std::string topCell = stringOr(config->find("top_cell"), "");
@@ -233,16 +231,6 @@ Status verifyRun(const VerifyOptions& options, VerifyReport& out) {
   const std::size_t claimedShapes =
       claimedShapesRaw < 0.0 ? shapes.size()
                              : static_cast<std::size_t>(claimedShapesRaw);
-  // Workers fracture a sub-range of the layout; the manifest's shape
-  // count is authoritative for which slice the artifact covers.
-  const int base = batch.shapeIndexBase;
-  if (base > 0 || claimedShapes < shapes.size()) {
-    const std::size_t b =
-        std::min(shapes.size(), static_cast<std::size_t>(std::max(base, 0)));
-    const std::size_t end = std::min(shapes.size(), b + claimedShapes);
-    shapes = std::vector<LayoutShape>(shapes.begin() + static_cast<long>(b),
-                                      shapes.begin() + static_cast<long>(end));
-  }
   if (claimedShapes != shapes.size()) {
     out.fileIssues.push_back(
         "manifest says the run covered " + std::to_string(claimedShapes) +
@@ -317,7 +305,7 @@ Status verifyRun(const VerifyOptions& options, VerifyReport& out) {
   }
 
   out.audit = auditShotSections(shapes, p, sections, expectations,
-                                options.threads, base);
+                                options.threads);
 
   std::int64_t sectionShots = 0;
   for (const ShotSection& s : sections) {

@@ -318,8 +318,10 @@ std::string journalMetaFor(const std::vector<LayoutShape>& shapes,
   h = fnv1a(h, &flags, 1);
   const std::int32_t method = static_cast<std::int32_t>(config.method);
   h = fnv1a(h, &method, 4);
+  // "base=0": the index of shapes[0]; every run covers the whole layout,
+  // and the field stays so fingerprints of older manifests still match.
   return "mbf-shape-journal v1 shapes=" + std::to_string(shapes.size()) +
-         " base=" + std::to_string(config.shapeIndexBase) + " fp=" + hex(h);
+         " base=0 fp=" + hex(h);
 }
 
 }  // namespace mbf

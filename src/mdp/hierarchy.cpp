@@ -2,7 +2,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <map>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <unordered_map>
@@ -85,7 +85,7 @@ Status validateCellRecord(const HierPlan& plan, const BatchConfig& config,
 /// refinerStats; callers restore the stats of what THEY fractured.)
 void instantiatePlan(const HierPlan& plan,
                      const std::vector<CellFracture>& fractures,
-                     const BatchConfig& config, HierarchicalResult& out) {
+                     HierarchicalResult& out) {
   out.instanceShapes = planInstanceShapes(plan);
   for (const HierPlan::Instance& inst : plan.instances) {
     const HierPlan::Cell& cell =
@@ -101,9 +101,7 @@ void instantiatePlan(const HierPlan& plan,
       if (!report.status.ok()) {
         // Cell-local batch indices mean nothing in the expanded layout;
         // re-stamp with the instance shape's global index.
-        report.status.withShape(
-            static_cast<int>(out.batch.solutions.size()) +
-            config.shapeIndexBase);
+        report.status.withShape(static_cast<int>(out.batch.solutions.size()));
       }
       out.batch.solutions.push_back(std::move(sol));
       out.batch.reports.push_back(std::move(report));
@@ -198,11 +196,190 @@ Status closePlanJournal(JournalWriter& journal, const std::string& path,
   return {};
 }
 
+/// Journals plan cell `cellIdx`'s installed result under `key`.
+using JournalCellFn = std::function<void(int cellIdx, const std::string& key)>;
+
+/// In-process miss step: every missing cell's shapes as ONE parallelFor
+/// batch. Each shape is fractured under the flat index its cell's FIRST
+/// instance gives it — the index budgets, degradation reports and fault
+/// injection address. A cell is journaled the moment its LAST shape
+/// completes; interrupted cells are never journaled — a later resume
+/// re-fractures them instead of replaying unfinished work. Every missing
+/// cell ends installed; returns whether any shape was interrupted.
+bool fractureInProcess(const HierPlan& plan, const BatchConfig& config,
+                       const std::vector<int>& missCells,
+                       PlanProgress& progress,
+                       const JournalCellFn& journalCell,
+                       std::vector<RefinerStats>& shapeStats) {
+  const std::size_t numCells = plan.cells.size();
+  std::vector<int> firstIndex(numCells, -1);
+  int flatIndex = 0;
+  for (const HierPlan::Instance& inst : plan.instances) {
+    const auto c = static_cast<std::size_t>(inst.cell);
+    if (firstIndex[c] < 0) firstIndex[c] = flatIndex;
+    flatIndex += static_cast<int>(plan.cells[c].shapes.size());
+  }
+
+  std::vector<CellFracture>& fractures = progress.fractures;
+  std::vector<std::pair<int, int>> missSlot;  // (cell, cell-local shape)
+  std::vector<std::atomic<int>> cellRemaining(numCells);
+  std::vector<std::atomic<bool>> cellInterrupted(numCells);
+  for (const int cellIdx : missCells) {
+    const auto c = static_cast<std::size_t>(cellIdx);
+    const std::size_t n = plan.cells[c].shapes.size();
+    fractures[c].solutions.resize(n);
+    fractures[c].reports.resize(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      missSlot.emplace_back(cellIdx, static_cast<int>(i));
+    }
+    cellRemaining[c].store(static_cast<int>(n), std::memory_order_relaxed);
+    cellInterrupted[c].store(false, std::memory_order_relaxed);
+  }
+  shapeStats.assign(missSlot.size(), RefinerStats{});
+  parallelFor(0, static_cast<int>(missSlot.size()), config.threads, 1,
+              [&](int k) {
+    const auto s = static_cast<std::size_t>(k);
+    const int cellIdx = missSlot[s].first;
+    const auto c = static_cast<std::size_t>(cellIdx);
+    const int local = missSlot[s].second;
+    ShapeOutcome outcome = fractureShapeGuarded(
+        plan.cells[c].shapes[static_cast<std::size_t>(local)], config.params,
+        config.method, firstIndex[c] + local, config.allowDegradation,
+        &shapeStats[s], config.fallbackOnly);
+    if (outcome.interrupted) {
+      cellInterrupted[c].store(true, std::memory_order_relaxed);
+    }
+    fractures[c].solutions[static_cast<std::size_t>(local)] =
+        std::move(outcome.solution);
+    fractures[c].reports[static_cast<std::size_t>(local)] = {
+        std::move(outcome.status), outcome.degraded, outcome.interrupted};
+    // acq_rel: the thread finishing the cell's last shape observes
+    // every sibling slot written before their decrements.
+    if (cellRemaining[c].fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+        !cellInterrupted[c].load(std::memory_order_relaxed)) {
+      journalCell(cellIdx, plan.cells[c].key);
+    }
+  });
+
+  bool anyInterrupted = false;
+  for (const int cellIdx : missCells) {
+    const auto c = static_cast<std::size_t>(cellIdx);
+    progress.done[c] = 1;
+    if (cellInterrupted[c].load(std::memory_order_relaxed)) {
+      anyInterrupted = true;
+    }
+  }
+  return anyInterrupted;
+}
+
+/// Gives every missing cell no worker journaled a result naming why, so
+/// every INSTANCE still gets a record: a culprit whose fallback-only
+/// worker died too, the abort cause, the graceful drain, or a supervisor
+/// bug. Hole-filled cells stay not done: never journaled, sealed or
+/// cached.
+void fillHoles(const HierPlan& plan, const std::vector<int>& missCells,
+               const SupervisorResult& sres, PlanProgress& progress) {
+  for (const int cellIdx : missCells) {
+    const auto c = static_cast<std::size_t>(cellIdx);
+    if (progress.done[c] != 0) continue;
+    const auto crash = sres.fallbackCrashes.find(cellIdx);
+    ShapeReport report;
+    if (crash != sres.fallbackCrashes.end()) {
+      report.status = Status(StatusCode::kExecFault,
+                             "worker crashed even in fallback-only mode (" +
+                                 crash->second + ")");
+    } else if (!sres.abortCause.empty()) {
+      report.status = Status(
+          StatusCode::kResourceExhausted,
+          "run aborted before any worker fractured this shape (" +
+              sres.abortCause + ")");
+    } else if (sres.interrupted) {
+      report.interrupted = true;
+      report.status = Status(
+          StatusCode::kBudgetExceeded,
+          "interrupted before any worker fractured this shape (graceful "
+          "drain); resume the run to finish it");
+    } else {
+      report.status = Status(StatusCode::kInternal,
+                             "shape was never journaled by any worker");
+    }
+    report.degraded = !report.interrupted;
+    Solution sol;
+    sol.method = "empty";
+    sol.degraded = report.degraded;
+    const std::size_t n = plan.cells[c].shapes.size();
+    progress.fractures[c].solutions.assign(n, sol);
+    progress.fractures[c].reports.assign(n, report);
+  }
+}
+
+/// Supervised miss step (--isolate): the contiguous runs of missing
+/// cells become the supervised ranges. Every harvested record that
+/// provably matches the plan (primary or fallback-only key, right shape
+/// count) is installed and journaled in plan order, so a later resume
+/// needs only the parent journal; an invalid one is dropped and its
+/// cell hole-filled. Returns supervisor-fatal errors.
+Status fractureSupervised(const HierPlan& plan, const BatchConfig& config,
+                          SupervisorConfig supervisor,
+                          const std::vector<int>& missCells,
+                          PlanProgress& progress,
+                          const JournalCellFn& journalCell,
+                          RunCounters& counters, HierarchicalResult& out,
+                          bool& interrupted) {
+  if (missCells.empty()) return {};
+  supervisor.initialRanges.clear();
+  for (const int cellIdx : missCells) {
+    if (!supervisor.initialRanges.empty() &&
+        supervisor.initialRanges.back().second == cellIdx) {
+      ++supervisor.initialRanges.back().second;
+    } else {
+      supervisor.initialRanges.emplace_back(cellIdx, cellIdx + 1);
+    }
+  }
+  SupervisorResult sres = superviseFracture(supervisor);
+  if (!sres.status.ok()) return sres.status;
+  counters.retriedRanges = sres.counters.retriedRanges;
+  counters.bisectedRanges = sres.counters.bisectedRanges;
+  counters.crashedWorkers = sres.counters.crashedWorkers;
+  counters.hungWorkers = sres.counters.hungWorkers;
+  counters.crashedShapes = sres.counters.crashedShapes;
+  counters.corruptJournals = sres.counters.corruptJournals;
+  counters.staleTempsRemoved = sres.counters.staleTempsRemoved;
+  interrupted = sres.interrupted;
+  out.abortCause = sres.abortCause;
+  out.isolatedCells = sres.isolatedUnits;
+
+  for (auto& [cellIdx, record] : sres.cellRecords) {
+    const auto c = static_cast<std::size_t>(cellIdx);
+    if (!validateCellRecord(plan, config, record, progress.fallbackKeys)
+             .ok() ||
+        progress.done[c] != 0) {
+      continue;
+    }
+    progress.fractures[c].solutions = std::move(record.solutions);
+    progress.fractures[c].reports = std::move(record.reports);
+    progress.done[c] = 1;
+    journalCell(cellIdx, record.key);
+  }
+  fillHoles(plan, missCells, sres, progress);
+  return {};
+}
+
+/// The refusal of two coincident rings; `where` names the ring list.
+Status coincidentRings(std::pair<int, int> pair, const std::string& where) {
+  return Status(StatusCode::kInvalidArgument,
+                "rings " + std::to_string(pair.first) + " and " +
+                    std::to_string(pair.second) + " of " + where +
+                    " coincide (each contains the other): remove the "
+                    "duplicate ring");
+}
+
 /// One plan cell per CONTENT key, in first-visit order: two GDS cells
 /// with identical geometry (under identical parameters) share one
-/// fracture, one cache slot and one plan index.
-void planExpansion(const GdsExpansion& expansion, const BatchConfig& config,
-                   HierPlan& out) {
+/// fracture, one cache slot and one plan index. Refuses a cell holding
+/// two coincident rings.
+Status planExpansion(const GdsExpansion& expansion, const BatchConfig& config,
+                     HierPlan& out) {
   out = HierPlan{};
   out.topStruct = expansion.top;
   out.reachableCells = static_cast<int>(expansion.reachable.size());
@@ -217,7 +394,13 @@ void planExpansion(const GdsExpansion& expansion, const BatchConfig& config,
       for (const GdsPolygon& gp : inst.structure->polygons) {
         rings.push_back(gp.polygon);
       }
-      std::vector<LayoutShape> shapes = groupRings(std::move(rings));
+      std::pair<int, int> coincident;
+      std::vector<LayoutShape> shapes =
+          groupRings(std::move(rings), &coincident);
+      if (coincident.first >= 0) {
+        return coincidentRings(coincident,
+                               "cell '" + inst.structure->name + "'");
+      }
       std::string key = cellFractureKey(shapes, config);
       const auto known = keyToEntry.find(key);
       int index;
@@ -233,6 +416,7 @@ void planExpansion(const GdsExpansion& expansion, const BatchConfig& config,
     }
     out.instances.push_back(HierPlan::Instance{it->second, inst.offset});
   }
+  return {};
 }
 
 /// An input refusal: the one-line diagnostic is the whole message (the
@@ -248,7 +432,7 @@ Status planGdsHierarchy(const GdsLibrary& lib, const BatchConfig& config,
   out = HierPlan{};
   GdsExpansion expansion;
   Status status = expandGds(lib, topStruct, expansion);
-  if (status.ok()) planExpansion(expansion, config, out);
+  if (status.ok()) status = planExpansion(expansion, config, out);
   return status;
 }
 
@@ -329,15 +513,19 @@ Status planInputFile(const std::string& path, bool hier,
                         "file by layer");
     }
     if (hier) {
-      planExpansion(expansion, config, out);
-      return {};
+      st = planExpansion(expansion, config, out);
+      return st.ok() ? st
+                     : inputError(st, "hier: " + path + ": " + st.message());
     }
     for (GdsPolygon& gp : expansion.flattened()) {
       rings.push_back(std::move(gp.polygon));
     }
   }
   if (rings.empty()) return noPolygons;
-  planFlatLayout(groupRings(std::move(rings)), config, out);
+  std::pair<int, int> coincident;
+  std::vector<LayoutShape> shapes = groupRings(std::move(rings), &coincident);
+  if (coincident.first >= 0) return coincidentRings(coincident, path);
+  planFlatLayout(std::move(shapes), config, out);
   return {};
 }
 
@@ -387,21 +575,21 @@ Status executePlan(const HierPlan& plan, const BatchConfig& config,
   std::vector<CellFracture>& fractures = progress.fractures;
   std::vector<char>& done = progress.done;
 
-  // Journal appends come from the coordinating thread (cache hits) AND
-  // from helper threads (the last shape of a fracturing cell); append()
-  // itself is thread-safe. Degrade, don't die: the first failed append
-  // downgrades the run to unjournaled completion — remaining cells still
-  // fracture and ship, we just stop issuing appends a full filer would
-  // fail one by one.
+  // Journal appends come from the coordinating thread (cache hits,
+  // harvested worker records) AND from helper threads (the last shape
+  // of a fracturing cell); append() itself is thread-safe. Degrade,
+  // don't die: the first failed append downgrades the run to
+  // unjournaled completion — remaining cells still fracture and ship, we
+  // just stop issuing appends a full filer would fail one by one.
   std::mutex appendErrorMutex;
   Status appendError;
   std::atomic<bool> journalBroken{false};
-  auto appendCellRecord = [&](int cellIdx) {
+  auto journalCell = [&](int cellIdx, const std::string& key) {
     if (!journaled || journalBroken.load(std::memory_order_relaxed)) return;
     const auto c = static_cast<std::size_t>(cellIdx);
     CellRecord record;
     record.cellIndex = cellIdx;
-    record.key = plan.cells[c].key;
+    record.key = key;
     record.solutions = fractures[c].solutions;
     record.reports = fractures[c].reports;
     const Status appended = journal.append(encodeCellRecord(record));
@@ -414,8 +602,8 @@ Status executePlan(const HierPlan& plan, const BatchConfig& config,
 
   // Persistent-cache lookups (hits fill their cell directly). A
   // journaled cache hit is appended like a fractured cell: the journal
-  // must be self-contained — a resume (or the supervisor harvesting a
-  // worker journal) replays it without consulting the cache.
+  // must be self-contained — a resume replays it without consulting the
+  // cache.
   CellFractureCache cache(options.cellCacheDir);
   const bool useCache = !options.cellCacheDir.empty();
   if (useCache) {
@@ -434,89 +622,46 @@ Status executePlan(const HierPlan& plan, const BatchConfig& config,
         cache.load(plan.cells[c].key, fractures[c]) ==
             CellFractureCache::Lookup::kHit) {
       done[c] = 1;
-      appendCellRecord(i);
+      journalCell(i, plan.cells[c].key);
       continue;
     }
     missCells.push_back(i);
   }
 
-  // Each cell shape is fractured under the flat index its cell's FIRST
-  // instance gives it, whatever process or shard fractures it — the
-  // index budgets, degradation reports and fault injection address.
-  std::vector<int> firstIndex(static_cast<std::size_t>(numCells), -1);
-  int flatIndex = config.shapeIndexBase;
-  for (const HierPlan::Instance& inst : plan.instances) {
-    const auto c = static_cast<std::size_t>(inst.cell);
-    if (firstIndex[c] < 0) firstIndex[c] = flatIndex;
-    flatIndex += static_cast<int>(plan.cells[c].shapes.size());
+  // Fracture the misses: the only step that differs between modes.
+  bool interrupted = false;
+  std::vector<RefinerStats> shapeStats;
+  if (options.isolate.has_value()) {
+    const Status status =
+        fractureSupervised(plan, config, *options.isolate, missCells,
+                           progress, journalCell, counters, out, interrupted);
+    if (!status.ok()) return status;
+  } else {
+    interrupted = fractureInProcess(plan, config, missCells, progress,
+                                    journalCell, shapeStats);
   }
 
-  // Fracture every missing cell's shapes as ONE parallelFor batch. A
-  // cell's CellRecord is appended the moment its LAST shape completes;
-  // interrupted cells are never journaled — a later resume re-fractures
-  // them instead of replaying unfinished work.
-  std::vector<std::pair<int, int>> missSlot;  // (cell, cell-local shape)
-  std::vector<std::atomic<int>> cellRemaining(
-      static_cast<std::size_t>(numCells));
-  std::vector<std::atomic<bool>> cellInterrupted(
-      static_cast<std::size_t>(numCells));
-  for (const int cellIdx : missCells) {
-    const auto c = static_cast<std::size_t>(cellIdx);
-    const std::size_t n = plan.cells[c].shapes.size();
-    fractures[c].solutions.resize(n);
-    fractures[c].reports.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      missSlot.emplace_back(cellIdx, static_cast<int>(i));
-    }
-    cellRemaining[c].store(static_cast<int>(n), std::memory_order_relaxed);
-    cellInterrupted[c].store(false, std::memory_order_relaxed);
+  bool complete = !interrupted && out.abortCause.empty();
+  for (int i = shardBegin; i < shardEnd; ++i) {
+    if (done[static_cast<std::size_t>(i)] == 0) complete = false;
   }
-  std::vector<RefinerStats> shapeStats(missSlot.size());
-  parallelFor(0, static_cast<int>(missSlot.size()), config.threads, 1,
-              [&](int k) {
-    const auto s = static_cast<std::size_t>(k);
-    const int cellIdx = missSlot[s].first;
-    const auto c = static_cast<std::size_t>(cellIdx);
-    const int local = missSlot[s].second;
-    ShapeOutcome outcome = fractureShapeGuarded(
-        plan.cells[c].shapes[static_cast<std::size_t>(local)], config.params,
-        config.method, firstIndex[c] + local, config.allowDegradation,
-        &shapeStats[s], config.fallbackOnly);
-    if (outcome.interrupted) {
-      cellInterrupted[c].store(true, std::memory_order_relaxed);
-    }
-    fractures[c].solutions[static_cast<std::size_t>(local)] =
-        std::move(outcome.solution);
-    fractures[c].reports[static_cast<std::size_t>(local)] = {
-        std::move(outcome.status), outcome.degraded, outcome.interrupted};
-    // acq_rel: the thread finishing the cell's last shape observes
-    // every sibling slot written before their decrements.
-    if (cellRemaining[c].fetch_sub(1, std::memory_order_acq_rel) == 1 &&
-        !cellInterrupted[c].load(std::memory_order_relaxed)) {
-      appendCellRecord(cellIdx);
-    }
-  });
-
-  bool anyInterrupted = false;
-  for (const int cellIdx : missCells) {
-    const auto c = static_cast<std::size_t>(cellIdx);
-    done[c] = 1;
-    if (cellInterrupted[c].load(std::memory_order_relaxed)) {
-      anyInterrupted = true;
-    }
-  }
-
   if (journaled) {
-    Status sealed = closePlanJournal(journal, options.journalPath,
-                                     !anyInterrupted, appendError);
+    Status sealed =
+        closePlanJournal(journal, options.journalPath, complete, appendError);
     counters.journalDowngraded = !appendError.ok();
     if (!sealed.ok()) return sealed;
   }
 
-  out.hier.uniqueCellsFractured = static_cast<int>(missCells.size());
-  out.hier.uniqueShapesFractured = static_cast<int>(missSlot.size());
-  counters.freshCells = static_cast<int>(missCells.size());
-  counters.freshShapes = static_cast<int>(missSlot.size());
+  std::vector<int> freshCells;
+  for (const int cellIdx : missCells) {
+    const auto c = static_cast<std::size_t>(cellIdx);
+    if (done[c] == 0) continue;
+    freshCells.push_back(cellIdx);
+    counters.freshShapes += static_cast<int>(plan.cells[c].shapes.size());
+  }
+  counters.freshCells = static_cast<int>(freshCells.size());
+  out.hier.uniqueCellsFractured = counters.freshCells;
+  out.hier.uniqueShapesFractured = counters.freshShapes;
   if (useCache) {
     out.hier.cacheHits = cache.stats().hits;
     out.hier.cacheMisses = cache.stats().misses;
@@ -532,7 +677,7 @@ Status executePlan(const HierPlan& plan, const BatchConfig& config,
   // disables the cache (inside store()) and is NOT a run failure: the
   // results being stored are already in memory and ship below.
   if (useCache) {
-    for (const int cellIdx : missCells) {
+    for (const int cellIdx : freshCells) {
       const CellFracture& fracture =
           fractures[static_cast<std::size_t>(cellIdx)];
       bool clean = true;
@@ -556,192 +701,22 @@ Status executePlan(const HierPlan& plan, const BatchConfig& config,
     }
   }
 
-  if (workerShard) {
-    // Worker mode: no instantiation — the supervising parent owns it.
-    // The batch concatenates the shard's cell-local results (scratch
-    // output; the supervisor harvests the journal, not the .shots).
-    for (int i = shardBegin; i < shardEnd; ++i) {
-      const auto c = static_cast<std::size_t>(i);
-      const HierPlan::Cell& cell = plan.cells[c];
-      for (std::size_t j = 0; j < cell.shapes.size(); ++j) {
-        out.instanceShapes.push_back(cell.shapes[j]);
-        out.batch.solutions.push_back(fractures[c].solutions.size() > j
-                                          ? fractures[c].solutions[j]
-                                          : Solution{});
-        out.batch.reports.push_back(fractures[c].reports.size() > j
-                                        ? fractures[c].reports[j]
-                                        : ShapeReport{});
-      }
-    }
-    mergeBatchAggregates(out.batch, {});
-  } else {
-    instantiatePlan(plan, fractures, config, out);
-  }
+  // A worker shard stops here: its product is the sealed journal, and
+  // the supervising parent instantiates.
+  if (!workerShard) instantiatePlan(plan, fractures, out);
   // mergeBatchAggregates resets refinerStats (per-instance stats don't
   // exist); the run's true profiling is what THIS process fractured.
   RefinerStats fresh{};
   for (const RefinerStats& st : shapeStats) fresh += st;
   out.batch.refinerStats = fresh;
-  out.wallSeconds =
+  out.batch.wallSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  out.batch.wallSeconds = out.wallSeconds;
   if (countersOut != nullptr) *countersOut = counters;
 
   // An append failure does not invalidate the in-memory batch, but the
   // journal is no longer a faithful checkpoint — surface it. Callers
   // read countersOut->journalDowngraded to keep the completed work.
-  return appendError;
-}
-
-Status executePlanSupervised(const HierPlan& plan, const BatchConfig& config,
-                             const HierOptions& options,
-                             SupervisorConfig supervisor,
-                             HierarchicalResult& out, RunCounters& counters,
-                             std::string& abortCause,
-                             std::vector<int>& isolatedCells) {
-  const auto start = std::chrono::steady_clock::now();
-  out = HierarchicalResult{};
-  out.topStruct = plan.topStruct;
-  out.hier.reachableCells = plan.reachableCells;
-  out.hier.instancesExpanded = plan.instancesExpanded;
-  counters = RunCounters{};
-  abortCause.clear();
-  isolatedCells.clear();
-
-  const int numCells = static_cast<int>(plan.cells.size());
-  PlanProgress progress(plan);
-  // Parent journal: replayed before sharding so the supervisor is
-  // handed only the MISSING cell ranges.
-  const bool journaled = !options.journalPath.empty();
-  JournalWriter journal;
-  if (journaled) {
-    Status status = openPlanJournal(plan, config, options, 0, numCells,
-                                    journal, progress, counters);
-    if (!status.ok()) return status;
-  }
-  std::vector<CellFracture>& fractures = progress.fractures;
-  std::vector<char>& done = progress.done;
-
-  // Contiguous runs of missing plan cells become the supervised ranges.
-  std::vector<std::pair<int, int>> missingRanges;
-  for (int i = 0; i < numCells;) {
-    if (done[static_cast<std::size_t>(i)] != 0) {
-      ++i;
-      continue;
-    }
-    int j = i;
-    while (j < numCells && done[static_cast<std::size_t>(j)] == 0) ++j;
-    missingRanges.emplace_back(i, j);
-    i = j;
-  }
-
-  Status appendError;
-  bool interrupted = false;
-  std::map<int, std::string> fallbackCrashes;
-  if (!missingRanges.empty()) {
-    supervisor.numUnits = numCells;
-    supervisor.initialRanges = missingRanges;
-    SupervisorResult sres = superviseFracture(supervisor);
-    if (!sres.status.ok()) return sres.status;
-    counters.retriedRanges = sres.counters.retriedRanges;
-    counters.bisectedRanges = sres.counters.bisectedRanges;
-    counters.crashedWorkers = sres.counters.crashedWorkers;
-    counters.hungWorkers = sres.counters.hungWorkers;
-    counters.crashedShapes = sres.counters.crashedShapes;
-    counters.corruptJournals = sres.counters.corruptJournals;
-    counters.staleTempsRemoved = sres.counters.staleTempsRemoved;
-    interrupted = sres.interrupted;
-    abortCause = sres.abortCause;
-    isolatedCells = sres.isolatedUnits;
-    fallbackCrashes = std::move(sres.fallbackCrashes);
-    out.workerSpans = std::move(sres.workerSpans);
-
-    // Install every harvested record that provably matches the plan
-    // (primary or fallback-only key, right shape count); an invalid one
-    // is dropped and its cell hole-filled below. Fresh records are
-    // appended to the parent journal in plan order so a later resume
-    // needs only this one file.
-    for (auto& kv : sres.cellRecords) {
-      const auto c = static_cast<std::size_t>(kv.first);
-      if (kv.first < 0 || kv.first >= numCells || done[c] != 0) continue;
-      if (!validateCellRecord(plan, config, kv.second, progress.fallbackKeys)
-               .ok()) {
-        continue;
-      }
-      if (journaled && appendError.ok()) {
-        appendError = journal.append(encodeCellRecord(kv.second));
-      }
-      fractures[c].solutions = std::move(kv.second.solutions);
-      fractures[c].reports = std::move(kv.second.reports);
-      done[c] = 1;
-      ++counters.freshCells;
-      counters.freshShapes += static_cast<int>(plan.cells[c].shapes.size());
-    }
-  }
-
-  bool allDone = true;
-  for (int i = 0; i < numCells; ++i) {
-    if (done[static_cast<std::size_t>(i)] == 0) allDone = false;
-  }
-  if (journaled) {
-    Status sealed =
-        closePlanJournal(journal, options.journalPath,
-                         !interrupted && abortCause.empty() && allDone,
-                         appendError);
-    counters.journalDowngraded = !appendError.ok();
-    if (!sealed.ok()) return sealed;
-  }
-
-  // Hole-fill missing cells so every INSTANCE still gets a record:
-  // a culprit whose fallback-only worker died too, the abort cause, the
-  // graceful drain, or a supervisor bug.
-  for (int i = 0; i < numCells; ++i) {
-    const auto c = static_cast<std::size_t>(i);
-    if (done[c] != 0) continue;
-    const std::size_t n = plan.cells[c].shapes.size();
-    fractures[c].solutions.assign(n, Solution{});
-    fractures[c].reports.assign(n, ShapeReport{});
-    const auto crash = fallbackCrashes.find(i);
-    for (std::size_t j = 0; j < n; ++j) {
-      Solution& sol = fractures[c].solutions[j];
-      ShapeReport& report = fractures[c].reports[j];
-      sol.method = "empty";
-      if (crash != fallbackCrashes.end()) {
-        sol.degraded = true;
-        report.degraded = true;
-        report.status = Status(StatusCode::kExecFault,
-                               "worker crashed even in fallback-only mode (" +
-                                   crash->second + ")");
-      } else if (!abortCause.empty()) {
-        sol.degraded = true;
-        report.degraded = true;
-        report.status = Status(
-            StatusCode::kResourceExhausted,
-            "run aborted before any worker fractured this shape (" +
-                abortCause + ")");
-      } else if (interrupted) {
-        report.interrupted = true;
-        report.status = Status(
-            StatusCode::kBudgetExceeded,
-            "interrupted before any worker fractured this shape (graceful "
-            "drain); resume the run to finish it");
-      } else {
-        sol.degraded = true;
-        report.degraded = true;
-        report.status = Status(StatusCode::kInternal,
-                               "shape was never journaled by any worker");
-      }
-    }
-  }
-
-  out.hier.uniqueCellsFractured = counters.freshCells;
-  out.hier.uniqueShapesFractured = counters.freshShapes;
-  instantiatePlan(plan, fractures, config, out);
-  out.wallSeconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  out.batch.wallSeconds = out.wallSeconds;
   return appendError;
 }
 

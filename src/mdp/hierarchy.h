@@ -1,10 +1,13 @@
 // Plans and the one plan executor. A run is a PLAN of units -- the
 // unique cells of a GDS hierarchy, or one unit per shape of a flat
 // layout -- executed in one pass: replay the journal, look up the cell
-// cache, fracture the misses in one parallelFor (or in --isolate worker
-// processes), then instantiate every unit at its placements.
-// planInputFile is the one front end from an input file to a plan; the
-// run and its --verify gate both go through it.
+// cache, fracture the misses, journal every installed unit, seal the
+// journal, store clean cells and instantiate every unit at its
+// placements. Only "fracture the misses" branches: one parallelFor in
+// this process, or (--isolate) supervised worker processes whose sealed
+// journals are harvested back into the same pass. planInputFile is the
+// one front end from an input file to a plan; the run and its --verify
+// gate both go through it.
 //
 // Hierarchical mask fracturing: a GDSII cell referenced N times is
 // fractured ONCE and its shot list instantiated at every reference
@@ -25,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,7 +69,8 @@ struct HierPlan {
 
 /// Expands and dedupes the hierarchy without fracturing anything: unique
 /// cells in first-visit (DFS) order. Errors: unresolvable top, cycles,
-/// depth, out-of-range placements, AREF caps.
+/// depth, out-of-range placements, AREF caps, a cell holding two
+/// coincident rings (see groupRings).
 Status planGdsHierarchy(const GdsLibrary& lib, const BatchConfig& config,
                         const std::string& topStruct, HierPlan& out);
 
@@ -91,7 +96,9 @@ bool isGdsPath(const std::string& path);
 /// unparseable file; a defective hierarchy (unresolvable top, cycle,
 /// depth, out-of-range placement, AREF cap); an input with no polygons;
 /// a .gds whose reachable BOUNDARYs carry more than one layer/datatype
-/// pair (the message lists them: one run fractures one mask layer).
+/// pair (the message lists them: one run fractures one mask layer); two
+/// coincident rings (each contains the other) in the flat ring list or
+/// in one --hier cell (the message names both ring indices).
 Status planInputFile(const std::string& path, bool hier,
                      const std::string& topCell, const BatchConfig& config,
                      HierPlan& out, std::string& warning);
@@ -118,11 +125,17 @@ struct HierOptions {
   std::string journalPath;
   bool resume = false;
   JournalFsync fsync = JournalFsync::kNone;
-  /// Worker shard: fracture only plan cells [cellBegin, cellEnd) and
-  /// skip instantiation (the batch concatenates the shard's cell-local
-  /// results; the supervising parent instantiates). Both -1 = full run.
+  /// Worker shard: execute only plan cells [cellBegin, cellEnd) and
+  /// skip instantiation -- the shard's product is its sealed journal,
+  /// which the supervising parent harvests. Both -1 = full run.
   int cellBegin = -1;
   int cellEnd = -1;
+  /// --isolate: fracture the misses in supervised worker processes
+  /// (mdp/supervisor) instead of this process's parallelFor. The
+  /// executor fills in initialRanges (the contiguous runs of cells
+  /// neither the journal nor the cache supplied); the worker arguments
+  /// must make every worker replan the identical plan.
+  std::optional<SupervisorConfig> isolate;
 };
 
 struct HierarchicalResult {
@@ -132,7 +145,7 @@ struct HierarchicalResult {
   std::vector<LayoutShape> instanceShapes;
   /// Parallel to instanceShapes: per-instance solutions (shots in top
   /// coordinates) and reports, merged aggregates, and the refiner stats
-  /// of the cells actually fractured this run.
+  /// of the cells this process fractured (none under --isolate).
   BatchResult batch;
 
   /// The resolved top structure name.
@@ -141,17 +154,20 @@ struct HierarchicalResult {
   /// "hier" block records them: reachable cells and placements walked
   /// (from the plan), unique cells and shapes fractured this run (cache
   /// misses + rejected entries; 0 on a fully warm run), and the
-  /// persistent-cache outcomes (all zero without a cache dir, and in
-  /// the supervised parent -- workers own all cache I/O there). The
-  /// caller sets `enabled`, `topCell` and `cacheDir`.
+  /// persistent-cache lookups and stores, which this process makes in
+  /// every mode (all zero without a cache dir). The caller sets
+  /// `enabled`, `topCell` and `cacheDir`.
   RunManifestInfo::HierInfo hier;
   /// First cache failure that disabled the cache, one line, for the
   /// warning (section 18: the cache degrades, the run completes).
   std::string cellCacheDisableCause;
-  double wallSeconds = 0.0;
-  /// Supervised runs only: trace spans harvested from worker span files
-  /// (SupervisorConfig::collectTraceSpans), merged into --trace-json.
-  std::vector<TraceSpan> workerSpans;
+  /// --isolate only: non-empty when the supervisor aborted the run (a
+  /// worker hit ENOSPC); every cell no worker journaled is degraded
+  /// with this cause.
+  std::string abortCause;
+  /// --isolate only: the crash-isolated plan cell indices, ascending
+  /// (flat layout indices for a flat plan).
+  std::vector<int> isolatedCells;
 
   std::int64_t instantiatedShapes() const {
     return static_cast<std::int64_t>(instanceShapes.size());
@@ -172,40 +188,24 @@ struct HierarchicalResult {
 
 /// Executes `plan`: replays options.journalPath when resuming (a journal
 /// of another plan, or a per-shape journal of an older build, is refused
-/// by name), consults the persistent cache when options.cellCacheDir is
-/// set, fractures all missing cells' shapes in one parallelFor (each
-/// shape under the flat index of its cell's first instance, so budgets,
-/// degradation and fault injection address flat layout indices),
-/// journals each cell as its last shape completes, seals the journal of
-/// a complete run, stores clean cells in the cache, and instantiates
-/// every placement. With options.cellBegin >= 0 only that cell range is
-/// fractured and nothing is instantiated (worker shard: `out.batch`
-/// concatenates the range's cell-local results). Cache I/O failures
-/// never fail the run (the cache disables itself, counted in the
-/// hier.cache* fields). A journal append or close failure downgrades the
-/// run: every result is still in `out`, counters.journalDowngraded is
-/// set, and the failure is returned.
+/// by name), looks up the cell cache, fractures the misses, journals
+/// every installed cell (a fractured one as its last shape completes),
+/// seals a complete run's journal, stores clean fractured cells and
+/// instantiates every placement. The misses fracture in one parallelFor
+/// (each shape under the flat index of its cell's first instance, so
+/// budgets, degradation and fault injection address flat layout
+/// indices) or, under options.isolate, in supervised workers whose
+/// harvested records are validated against the plan keys; a cell no
+/// worker delivered is hole-filled with a degraded or interrupted
+/// record naming why. With options.cellBegin >= 0 only that cell range
+/// is executed and nothing is instantiated (worker shard). Cache I/O
+/// failures never fail the run (the cache disables itself, counted in
+/// the hier.cache* fields). Returns supervisor-fatal errors; a journal
+/// append or close failure downgrades the run: every result is still in
+/// `out`, counters.journalDowngraded is set, and the failure is
+/// returned.
 Status executePlan(const HierPlan& plan, const BatchConfig& config,
                    const HierOptions& options, HierarchicalResult& out,
                    RunCounters* countersOut = nullptr);
-
-/// The supervised twin of executePlan (mbf_cli --isolate): replays the
-/// parent journal when resuming, shards the MISSING cells across worker
-/// processes via mdp/supervisor (`supervisor.workerArgs` must make each
-/// worker replan the identical plan; workers run executePlan over a
-/// --cell-range and own all cell-cache I/O), validates every harvested
-/// CellRecord against the plan keys, appends fresh records to the
-/// parent journal, fills holes, and instantiates in the parent. A hole
-/// whose fallback-only worker also died is degraded as kExecFault; the
-/// rest are named after the abort cause, the graceful drain, or a
-/// supervisor bug. `isolatedCells` receives the crash-isolated plan
-/// cell indices (flat layout indices for a flat plan). Returns
-/// supervisor-fatal errors, or the journal failure of a downgraded run.
-Status executePlanSupervised(const HierPlan& plan, const BatchConfig& config,
-                             const HierOptions& options,
-                             SupervisorConfig supervisor,
-                             HierarchicalResult& out, RunCounters& counters,
-                             std::string& abortCause,
-                             std::vector<int>& isolatedCells);
 
 }  // namespace mbf

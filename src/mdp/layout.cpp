@@ -19,19 +19,38 @@
 
 namespace mbf {
 
-std::vector<LayoutShape> groupRings(std::vector<Polygon> rings) {
+std::vector<LayoutShape> groupRings(std::vector<Polygon> rings,
+                                    std::pair<int, int>* coincident) {
   const std::size_t n = rings.size();
-  // parent[i] = index of the ring containing ring i, or -1.
-  std::vector<int> parent(n, -1);
+  if (coincident != nullptr) *coincident = {-1, -1};
+  // Ring i lies in ring j: bbox plus a representative vertex. Mask rings
+  // never intersect, so one interior vertex decides.
+  auto inside = [&](std::size_t i, std::size_t j) {
+    return i != j && rings[j].bbox().contains(rings[i].bbox()) &&
+           rings[j].contains(toVec2(rings[i][0]) + Vec2{0.25, 0.25});
+  };
+  // Of two coincident rings, only the earlier contains the later.
+  auto contains = [&](std::size_t j, std::size_t i) {
+    return inside(i, j) && !(j > i && inside(j, i));
+  };
+  std::vector<std::size_t> depth(n, 0);  // rings containing ring i
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      // Containment test: bbox plus a representative vertex. Mask rings
-      // never intersect, so one interior vertex decides.
-      if (!rings[j].bbox().contains(rings[i].bbox())) continue;
-      if (rings[j].contains(toVec2(rings[i][0]) + Vec2{0.25, 0.25})) {
+      if (!contains(j, i)) continue;
+      ++depth[i];
+      if (coincident != nullptr && coincident->first < 0 && inside(j, i)) {
+        *coincident = {static_cast<int>(j), static_cast<int>(i)};
+      }
+    }
+  }
+  // A ring at odd depth is a hole of its innermost container (the one at
+  // depth - 1); every other ring starts a shape, so none is dropped.
+  std::vector<int> parent(n, -1);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n && depth[i] % 2 == 1 && parent[i] < 0;
+         ++j) {
+      if (depth[j] + 1 == depth[i] && contains(j, i)) {
         parent[i] = static_cast<int>(j);
-        break;
       }
     }
   }
@@ -47,10 +66,8 @@ std::vector<LayoutShape> groupRings(std::vector<Polygon> rings) {
   for (std::size_t i = 0; i < n; ++i) {
     if (parent[i] >= 0) {
       const int owner = shapeOf[static_cast<std::size_t>(parent[i])];
-      if (owner >= 0) {
-        shapes[static_cast<std::size_t>(owner)].rings.push_back(
-            std::move(rings[i]));
-      }
+      shapes[static_cast<std::size_t>(owner)].rings.push_back(
+          std::move(rings[i]));
     }
   }
   return shapes;

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fracture/params.h"
@@ -24,10 +25,20 @@ struct LayoutShape {
   std::vector<Polygon> rings;
 };
 
-/// Groups a flat ring list into shapes: a ring contained in exactly one
-/// other ring becomes that ring's hole (nesting depth 1, the mask-layout
-/// case; deeper nesting would be an island and is not supported).
-std::vector<LayoutShape> groupRings(std::vector<Polygon> rings);
+/// Groups a flat ring list into shapes, whatever order the rings come
+/// in. A ring's nesting depth is the number of rings containing it and
+/// its parent is the innermost of them: a ring at even depth (an outer
+/// boundary, or an island inside a hole) starts a shape; a ring at odd
+/// depth is a hole of its parent's shape. Shapes follow the input order
+/// of their first ring, each with its holes in input order -- for inputs
+/// nested at most one deep, exactly the order of the input. Two
+/// coincident rings (each contains the other) are reported through
+/// `coincident` (the first such pair, lower index first; {-1, -1} when
+/// there is none) and grouped as if the later ring lay inside the
+/// earlier one.
+std::vector<LayoutShape> groupRings(
+    std::vector<Polygon> rings,
+    std::pair<int, int>* coincident = nullptr);
 
 enum class Method {
   kOurs,    ///< the paper's method (coloring + refinement)
@@ -124,10 +135,6 @@ struct BatchConfig {
   /// when false (--strict), such a shape keeps an empty solution and its
   /// error status, and the batch still completes.
   bool allowDegradation = true;
-  /// Original-layout index of shapes[0]. A full run leaves this 0; a
-  /// tiled run sets it so every ShapeReport Status carries the index the
-  /// shape has in the complete layout, never a tile-local one.
-  int shapeIndexBase = 0;
   /// Skip the primary method and fracture every shape with the fallback
   /// ladder directly (supervisor crash-isolation; see
   /// fractureShapeGuarded).

@@ -20,6 +20,7 @@
 #include "support/interrupt.h"
 #include "support/journal.h"
 #include "support/sysio.h"
+#include "support/telemetry.h"
 
 namespace mbf {
 namespace {
@@ -85,6 +86,7 @@ pid_t spawnWorker(const SupervisorConfig& config, const RangeTask& task,
   std::vector<std::string> args;
   args.push_back(config.cliPath);
   args.push_back(config.inputPath);
+  // The output operand mbf_cli requires; a worker never writes it.
   args.push_back(config.workDir + "/w_" + rangeTag(task) + ".shots");
   args.push_back("--worker");
   args.push_back("--cell-range=" + std::to_string(task.begin) + ":" +
@@ -140,12 +142,6 @@ std::string selfExePath(const char* argv0) {
 
 SupervisorResult superviseFracture(const SupervisorConfig& config) {
   SupervisorResult result;
-  const int n = config.numUnits;
-  if (n <= 0) {
-    result.status =
-        Status(StatusCode::kInvalidArgument, "supervisor needs numUnits > 0");
-    return result;
-  }
   if (sysio::mkdir(config.workDir.c_str(), 0755) != 0 && errno != EEXIST) {
     result.status = Status(StatusCode::kIoError,
                            "cannot create supervisor work dir '" +
@@ -154,10 +150,7 @@ SupervisorResult superviseFracture(const SupervisorConfig& config) {
   }
 
   const int jobs = std::max(1, config.jobs);
-  // A resumed run supervises only the ranges its parent journal is
-  // missing; the default is the whole index space.
-  std::vector<std::pair<int, int>> ranges = config.initialRanges;
-  if (ranges.empty()) ranges.emplace_back(0, n);
+  const std::vector<std::pair<int, int>>& ranges = config.initialRanges;
   int work = 0;
   for (const auto& r : ranges) work += std::max(0, r.second - r.first);
   // Several chunks per worker slot: small enough that a crash forfeits
@@ -181,8 +174,8 @@ SupervisorResult superviseFracture(const SupervisorConfig& config) {
   };
 
   // Harvest every intact record of a (possibly dead) worker's journal.
-  // Key validation against the plan is the caller's (it owns the plan);
-  // bounds are ours.
+  // Validation against the plan (index, key, shape count) is the
+  // caller's: it owns the plan.
   auto harvest = [&](const std::string& journalPath) {
     std::string meta;
     std::vector<std::string> payloads;
@@ -190,7 +183,6 @@ SupervisorResult superviseFracture(const SupervisorConfig& config) {
     for (const std::string& bytes : payloads) {
       CellRecord record;
       if (!decodeCellRecord(bytes, record).ok()) continue;
-      if (record.cellIndex < 0 || record.cellIndex >= n) continue;
       result.cellRecords.emplace(record.cellIndex, std::move(record));
     }
   };
@@ -236,7 +228,7 @@ SupervisorResult superviseFracture(const SupervisorConfig& config) {
       w.journalPath = config.workDir + "/w_" + rangeTag(w.task) + ".jrnl";
       w.logPath = config.workDir + "/w_" + rangeTag(w.task) + ".log";
       std::string spanPath;
-      if (config.collectTraceSpans) {
+      if (traceEnabled()) {
         spanPath = config.workDir + "/w_" + rangeTag(w.task) + ".spans";
         if (std::find(spanPaths.begin(), spanPaths.end(), spanPath) ==
             spanPaths.end()) {
@@ -506,11 +498,13 @@ SupervisorResult superviseFracture(const SupervisorConfig& config) {
   result.counters.staleTempsRemoved += sweepStaleTempFiles(config.workDir);
 
   std::sort(result.isolatedUnits.begin(), result.isolatedUnits.end());
-  if (config.collectTraceSpans) {
-    // Best effort: a worker that crashed before flushing its span file
-    // contributes nothing; retries reuse one file, last writer wins.
-    for (const std::string& path : spanPaths) {
-      readSpanFile(path, result.workerSpans);
+  // Best effort: a worker that crashed before flushing its span file
+  // contributes nothing; retries reuse one file, last writer wins.
+  for (const std::string& path : spanPaths) {
+    std::vector<TraceSpan> spans;
+    readSpanFile(path, spans);
+    for (TraceSpan& span : spans) {
+      TraceRecorder::instance().addForeign(std::move(span));
     }
   }
   result.status = fatal;

@@ -29,8 +29,10 @@
 // (hard hangs never reach a cooperative checkpoint). Because workers
 // journal as they go, every retry resumes instead of recomputing, and
 // the records the supervisor harvests are bitwise identical to what a
-// single-process run would have produced. The caller (the supervised
-// plan executor) owns the plan: it validates harvested records,
+// single-process run would have produced. A worker's only product is
+// its sealed journal: it writes no output and touches no cell cache.
+// The caller (the plan executor's --isolate miss step) owns the plan
+// and the cache: it validates harvested records, stores clean cells,
 // fills holes and instantiates.
 #pragma once
 
@@ -41,7 +43,6 @@
 
 #include "mdp/checkpoint.h"
 #include "support/status.h"
-#include "support/telemetry.h"
 
 namespace mbf {
 
@@ -58,23 +59,14 @@ struct SupervisorConfig {
   /// and friends). The supervisor adds the worker-mode plumbing itself.
   std::vector<std::string> workerArgs;
 
-  int numUnits = 0;        ///< plan units; workers get --cell-range=a:b
   int jobs = 2;            ///< concurrent worker processes
   double workerTimeoutMs = 0.0;  ///< watchdog; 0 = no timeout
   int maxRetries = 2;      ///< relaunches of one range before bisection
   double backoffBaseMs = 50.0;
   double backoffCapMs = 2000.0;
   bool verbose = false;    ///< supervisor event log on stderr
-  /// Ask every worker to record trace spans into a per-range span file
-  /// (--trace-raw) and merge them into SupervisorResult::workerSpans, so
-  /// --trace-json on a supervised run shows one timeline across all
-  /// worker processes. Lifecycle events (spawn/retry/bisect/isolate/
-  /// watchdog kills) are recorded by the supervisor itself.
-  bool collectTraceSpans = false;
-  /// Restrict the supervised work to these [begin, end) unit ranges
-  /// (still chunked across workers). Empty = the whole [0, numUnits).
-  /// A resumed run passes only the unit ranges its parent journal is
-  /// missing.
+  /// The [begin, end) unit ranges to fracture, chunked across workers:
+  /// the units neither the parent's journal nor its cell cache supplied.
   std::vector<std::pair<int, int>> initialRanges;
 };
 
@@ -96,10 +88,6 @@ struct SupervisorResult {
   /// A SIGTERM/SIGINT graceful drain cut the run short: queued ranges
   /// were dropped and live workers were asked to drain.
   bool interrupted = false;
-  /// Spans harvested from worker span files (collectTraceSpans only).
-  /// Each keeps its recording worker's pid; a worker that died before
-  /// writing its file simply contributes nothing.
-  std::vector<TraceSpan> workerSpans;
   /// Non-empty when the run was ABORTED rather than retried to
   /// completion: a worker hit a condition every future worker would hit
   /// identically (today: ENOSPC on the shared filer). No new workers
@@ -111,6 +99,14 @@ struct SupervisorResult {
   std::string abortCause;
 };
 
+/// Runs the supervised ranges to completion. While tracing is enabled
+/// (traceEnabled()), every worker also records trace spans into a
+/// per-range span file (--trace-raw), merged into this process's
+/// TraceRecorder at the end (each span keeps its worker's pid; a worker
+/// that died before writing its file contributes nothing), so one
+/// --trace-json timeline covers every process. Lifecycle events
+/// (spawn/retry/bisect/isolate/watchdog kills) are recorded by the
+/// supervisor itself.
 SupervisorResult superviseFracture(const SupervisorConfig& config);
 
 /// Absolute path of the running executable (/proc/self/exe), falling

@@ -525,49 +525,80 @@ TEST(JournaledRunTest, FirstDuplicateRecordWins) {
 // --- Sharded indexing (the tile-local index regression) ------------------
 
 // Fracturing a layout in shards must report every failure against the
-// shape's index in the ORIGINAL layout. Before shapeIndexBase, a shard
-// starting at shape 4 reported its faults as shapes 0..3 — the operator
-// then re-ran (or excluded) the wrong shapes.
+// shape's index in the ORIGINAL layout. Shards here are what a
+// supervisor's workers run: executePlan over the FULL plan restricted to
+// a cell range, whose product is the shard journal. A shard starting at
+// shape 3 must inject and report the fault armed on shape 4 as shape 4,
+// never as shard-local shape 1 -- the operator would re-run (or exclude)
+// the wrong shape.
 TEST(ShardedBatchTest, ReportsCarryOriginalLayoutIndices) {
   const std::vector<LayoutShape> shapes = testLayout(6);
   FaultInjector injector;
   injector.armShape(4, FaultKind::kThrow);  // inside the second shard
 
-  BatchConfig whole;
-  whole.params.faultInjector = &injector;
-  const BatchResult plain = fractureLayoutParallel(shapes, whole);
+  BatchConfig config;
+  config.params.faultInjector = &injector;
+  const BatchResult plain = fractureLayoutParallel(shapes, config);
   ASSERT_TRUE(plain.reports[4].degraded);
   ASSERT_EQ(plain.reports[4].status.shapeIndex(), 4);
 
-  // Two shards of three shapes, like a supervisor worker range or a tile.
-  // The injector (like everything in FractureParams) addresses shapes by
-  // original index, so the shard must translate via shapeIndexBase both
-  // when consulting it and when stamping reports.
-  BatchResult merged;
-  for (int base = 0; base < 6; base += 3) {
-    std::vector<LayoutShape> shard(shapes.begin() + base,
-                                   shapes.begin() + base + 3);
-    BatchConfig config = whole;
-    config.shapeIndexBase = base;
-    const BatchResult part = fractureLayoutParallel(shard, config);
-    merged.solutions.insert(merged.solutions.end(), part.solutions.begin(),
-                            part.solutions.end());
-    merged.reports.insert(merged.reports.end(), part.reports.begin(),
-                          part.reports.end());
+  HierPlan plan;
+  planFlatLayout(shapes, config, plan);
+  std::vector<std::string> records;
+  for (int begin = 0; begin < 6; begin += 3) {
+    TempFile journal("shard" + std::to_string(begin));
+    HierOptions options;
+    options.journalPath = journal.path();
+    options.cellBegin = begin;
+    options.cellEnd = begin + 3;
+    HierarchicalResult shard;
+    ASSERT_TRUE(executePlan(plan, config, options, shard).ok());
+    EXPECT_TRUE(shard.batch.solutions.empty())
+        << "a shard's product is its journal, not an instantiated batch";
+    std::string meta;
+    std::vector<std::string> payloads;
+    ASSERT_TRUE(recoverJournal(journal.path(), meta, payloads).ok());
+    ASSERT_EQ(payloads.size(), 3u);
+    for (const std::string& bytes : payloads) {
+      CellRecord record;
+      ASSERT_TRUE(decodeCellRecord(bytes, record).ok());
+      ASSERT_EQ(record.reports.size(), 1u);
+      EXPECT_EQ(record.reports[0].degraded, record.cellIndex == 4);
+      if (record.cellIndex == 4) {
+        // Stamped by the shard itself, before any instantiation.
+        EXPECT_EQ(record.reports[0].status.shapeIndex(), 4);
+      }
+    }
+    records.insert(records.end(), payloads.begin(), payloads.end());
   }
-  mergeBatchAggregates(merged, {});
 
-  ASSERT_EQ(merged.solutions.size(), 6u);
+  // Replay both shard journals as one full-plan journal, the way the
+  // supervising parent harvests them: nothing fractures fresh.
+  TempFile merged("merged_shards");
+  {
+    JournalWriter writer;
+    ASSERT_TRUE(writer
+                    .create(merged.path(), flatJournalMeta(shapes, config),
+                            JournalFsync::kNone)
+                    .ok());
+    for (const std::string& bytes : records) {
+      ASSERT_TRUE(writer.append(bytes).ok());
+    }
+  }
+  BatchResult out;
+  RunCounters counters;
+  ASSERT_TRUE(
+      runJournaled(shapes, config, merged.path(), true, out, &counters).ok());
+  EXPECT_EQ(counters.resumedCells, 6);
+  EXPECT_EQ(counters.freshShapes, 0);
+  expectSameBatch(plain, out);
   for (int i = 0; i < 6; ++i) {
-    expectSameSolution(merged.solutions[static_cast<std::size_t>(i)],
-                       plain.solutions[static_cast<std::size_t>(i)],
-                       static_cast<std::size_t>(i));
-    EXPECT_EQ(merged.reports[static_cast<std::size_t>(i)].degraded, i == 4);
+    EXPECT_EQ(out.reports[static_cast<std::size_t>(i)].degraded, i == 4);
   }
   // The regression: the degraded report names shape 4, not shard-local 1.
-  EXPECT_EQ(merged.reports[4].status.shapeIndex(), 4);
-  EXPECT_EQ(merged.degradedShapes, plain.degradedShapes);
-  EXPECT_EQ(merged.totalShots, plain.totalShots);
+  EXPECT_EQ(out.reports[4].status.shapeIndex(), 4);
+  EXPECT_EQ(out.degradedShapes, plain.degradedShapes);
+  EXPECT_EQ(out.totalShots, plain.totalShots);
 }
 
 TEST(MergeBatchAggregatesTest, RecomputesFromScratch) {

@@ -35,7 +35,11 @@
 //   9. A genuine SIGKILL mid-run (best-effort timing) resumes to
 //      byte-identical output.
 //  10. Clean --hier --isolate --jobs=4 output is byte-identical to
-//      serial --hier and passes --verify.
+//      serial --hier and passes --verify. The parent owns the cell
+//      cache under --isolate: a cold --isolate run fills a fresh cache
+//      that a serial run then hits for every unit, and a warm --isolate
+//      run spawns no worker (no w_* journal in its work dir), reports
+//      the hits in its manifest and writes byte-identical .shots.
 //
 // Standalone driver (no gtest), same pattern as mbf_verify_drill: it
 // exercises the CLI process boundary, not library internals.
@@ -604,6 +608,62 @@ int main(int argc, char** argv) {
           "isolate output byte-identical to serial hier");
     check(runCli(cli, {"--verify", json}) == 0,
           "isolate run passes --verify");
+
+    const std::string isoCache = dir + "/iso_cache";
+    const std::string coldShots = dir + "/iso_cold.shots";
+    const std::string coldJsonIso = dir + "/iso_cold.json";
+    check(runCli(cli, {input, coldShots, "--hier", "--top-cell=TOP",
+                       "--isolate", "--jobs=2", "--cell-cache=" + isoCache,
+                       "--metrics-json=" + coldJsonIso}) == 0,
+          "cold --isolate --cell-cache run exits 0");
+    {
+      const std::string manifest = readBytes(coldJsonIso);
+      check(manifest.find("\"cache_misses\": 5") != std::string::npos &&
+                manifest.find("\"unique_cells_fractured\": 5") !=
+                    std::string::npos,
+            "cold isolate manifest: 5 misses, 5 cells fractured");
+    }
+    const std::string serialJson = dir + "/iso_serial.json";
+    check(runCli(cli, {input, dir + "/iso_serial.shots", "--hier",
+                       "--top-cell=TOP", "--cell-cache=" + isoCache,
+                       "--metrics-json=" + serialJson}) == 0,
+          "serial run on the isolate-filled cache exits 0");
+    check(readBytes(serialJson).find("\"cache_hits\": 5") !=
+              std::string::npos,
+          "isolate parent filled the cache: serial run hits all 5 cells");
+
+    const std::string warmShotsIso = dir + "/iso_warm.shots";
+    const std::string warmJsonIso = dir + "/iso_warm.json";
+    std::string log;
+    check(runCli(cli,
+                 {input, warmShotsIso, "--hier", "--top-cell=TOP", "--isolate",
+                  "--jobs=2", "--cell-cache=" + isoCache,
+                  "--metrics-json=" + warmJsonIso},
+                 &log) == 0,
+          "warm --isolate run exits 0");
+    bool spawned = false;
+    std::error_code ec;
+    for (const auto& entry : std::filesystem::directory_iterator(
+             warmShotsIso + ".workers", ec)) {
+      const std::string name = entry.path().filename().string();
+      if (name.rfind("w_", 0) == 0 &&
+          name.find(".jrnl") != std::string::npos) {
+        spawned = true;
+      }
+    }
+    check(!spawned, "warm isolate run spawns no worker (no w_* journal)");
+    {
+      const std::string manifest = readBytes(warmJsonIso);
+      check(manifest.find("\"cache_hits\": 5") != std::string::npos &&
+                manifest.find("\"cache_misses\": 0") != std::string::npos &&
+                manifest.find("\"unique_cells_fractured\": 0") !=
+                    std::string::npos,
+            "warm isolate manifest: 5 hits, 0 misses, 0 fractured");
+    }
+    check(log.find("5 cache hit(s), 0 fractured") != std::string::npos,
+          "warm isolate summary reports the hits");
+    check(readBytes(warmShotsIso) == readBytes(hierShots),
+          "warm isolate output byte-identical to serial hier");
   }
 
   if (g_failures > 0) {

@@ -21,6 +21,7 @@
 
 #include "fracture/verifier.h"
 #include "io/atomic_file.h"
+#include "io/poly_io.h"
 #include "mdp/cell_cache.h"
 #include "mdp/hierarchy.h"
 #include "support/fault_injector.h"
@@ -323,6 +324,42 @@ TEST(HierarchyTest, OutOfRangePlacementIsRejected) {
   EXPECT_NE(st.message().find("32-bit"), std::string::npos) << st.message();
 }
 
+// Two coincident rings (one square listed twice) used to vanish: each
+// took the other as its parent and neither became a shape. Every front
+// end -- flat .poly, flat .gds and --hier per cell -- now refuses them,
+// naming the file and both ring indices.
+TEST(HierarchyTest, CoincidentRingsAreRefusedByEveryFrontEnd) {
+  const GdsPolygon twin = lPoly();
+  const std::string polyPath = "hierarchy_test_twins.poly";
+  const std::string gdsPath = "hierarchy_test_twins.gds";
+  ASSERT_TRUE(savePolygons(polyPath, std::vector<Polygon>{twin.polygon,
+                                                          twin.polygon}));
+  GdsLibrary lib;
+  GdsStructure cell{"CELL", {twin, twin}, {}, {}};
+  GdsStructure top{"TOP", {}, {{"CELL", {0, 0}}}, {}};
+  lib.structures = {top, cell};
+  ASSERT_TRUE(saveGds(gdsPath, lib));
+
+  for (const auto& [path, hier] :
+       {std::pair{polyPath, false}, std::pair{gdsPath, false},
+        std::pair{gdsPath, true}}) {
+    HierPlan plan;
+    std::string warning;
+    const Status st =
+        planInputFile(path, hier, "", BatchConfig{}, plan, warning);
+    EXPECT_FALSE(st.ok()) << path << (hier ? " --hier" : "");
+    EXPECT_NE(st.message().find(path), std::string::npos) << st.message();
+    EXPECT_NE(st.message().find("rings 0 and 1"), std::string::npos)
+        << st.message();
+    if (hier) {
+      EXPECT_NE(st.message().find("cell 'CELL'"), std::string::npos)
+          << st.message();
+    }
+  }
+  std::remove(polyPath.c_str());
+  std::remove(gdsPath.c_str());
+}
+
 // --------------------------------------------------------------------
 // Persistent cell-fracture cache
 // --------------------------------------------------------------------
@@ -377,10 +414,6 @@ TEST(CellCacheTest, KeyInvalidatesOnEveryResultRelevantField) {
   BatchConfig threaded = base;
   threaded.threads = 8;
   EXPECT_EQ(cellFractureKey(shapes, threaded), baseKey);
-  // shapeIndexBase is reporting plumbing, not a result knob.
-  BatchConfig based = base;
-  based.shapeIndexBase = 17;
-  EXPECT_EQ(cellFractureKey(shapes, based), baseKey);
 
   // Geometry participates.
   std::vector<LayoutShape> moved = shapes;

@@ -2,8 +2,11 @@
 // multi-threaded batch fracturing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <tuple>
 #include <utility>
+#include <vector>
 
 #include "benchgen/ilt_synth.h"
 #include "mdp/layout.h"
@@ -48,6 +51,74 @@ TEST(GroupRingsTest, MixedLayout) {
 
 TEST(GroupRingsTest, EmptyInput) {
   EXPECT_TRUE(groupRings({}).empty());
+}
+
+TEST(GroupRingsTest, DepthOneKeepsInputOrder) {
+  // Holes listed before and after their outer ring: shapes follow their
+  // outer rings' input order, holes follow theirs.
+  const std::vector<LayoutShape> shapes =
+      groupRings({square(10, {10, 10}), square(100), square(300, {500, 0}),
+                  square(10, {60, 60})});
+  ASSERT_EQ(shapes.size(), 2u);
+  ASSERT_EQ(shapes[0].rings.size(), 3u);
+  EXPECT_EQ(shapes[0].rings[0].bbox(), Rect(0, 0, 100, 100));
+  EXPECT_EQ(shapes[0].rings[1].bbox(), Rect(10, 10, 20, 20));
+  EXPECT_EQ(shapes[0].rings[2].bbox(), Rect(60, 60, 70, 70));
+  ASSERT_EQ(shapes[1].rings.size(), 1u);
+  EXPECT_EQ(shapes[1].rings[0].bbox(), Rect(500, 0, 800, 300));
+}
+
+/// A grouping as an order-free set: each shape's ring boxes, sorted.
+std::vector<std::vector<std::tuple<int, int, int, int>>> shapeSet(
+    const std::vector<LayoutShape>& shapes) {
+  std::vector<std::vector<std::tuple<int, int, int, int>>> out;
+  for (const LayoutShape& s : shapes) {
+    std::vector<std::tuple<int, int, int, int>> rings;
+    for (const Polygon& ring : s.rings) {
+      const Rect b = ring.bbox();
+      rings.emplace_back(b.x0, b.y0, b.x1, b.y1);
+    }
+    std::sort(rings.begin() + 1, rings.end());  // outer ring stays first
+    out.push_back(std::move(rings));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(GroupRingsTest, IslandSurvivesEveryRingOrder) {
+  // An island (40..80) inside a hole (20..100) of an outer ring (0..120):
+  // two shapes, {outer, hole} and {island}, whatever the input order.
+  // Listed hole, island, outer, the island once took the hole as its
+  // parent and was dropped.
+  const std::vector<Polygon> rings = {square(80, {20, 20}),
+                                      square(40, {40, 40}), square(120)};
+  const auto expected = shapeSet(groupRings({rings[2], rings[0], rings[1]}));
+  ASSERT_EQ(expected.size(), 2u);
+  std::vector<int> order = {0, 1, 2};
+  int orderings = 0;
+  do {
+    std::vector<Polygon> permuted;
+    for (const int i : order) {
+      permuted.push_back(rings[static_cast<std::size_t>(i)]);
+    }
+    std::pair<int, int> coincident;
+    EXPECT_EQ(shapeSet(groupRings(permuted, &coincident)), expected)
+        << "order " << order[0] << order[1] << order[2];
+    EXPECT_EQ(coincident, std::make_pair(-1, -1));
+    ++orderings;
+  } while (std::next_permutation(order.begin(), order.end()));
+  EXPECT_EQ(orderings, 6);
+}
+
+TEST(GroupRingsTest, CoincidentRingsAreReported) {
+  std::pair<int, int> coincident;
+  const std::vector<LayoutShape> shapes =
+      groupRings({square(40, {500, 0}), square(40), square(40)}, &coincident);
+  EXPECT_EQ(coincident, std::make_pair(1, 2));
+  // Nothing is dropped: the later twin is grouped inside the earlier.
+  std::size_t rings = 0;
+  for (const LayoutShape& s : shapes) rings += s.rings.size();
+  EXPECT_EQ(rings, 3u);
 }
 
 TEST(MethodTest, ParseAndToStringRoundTrip) {

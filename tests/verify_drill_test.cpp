@@ -17,6 +17,9 @@
 //   4. Graceful drain: SIGTERM mid-run exits 5 with the manifest stamped
 //      "interrupted"; a --resume completes the run and then passes
 //      --verify.
+//   5. Grown input: a shape appended to the input after the run makes
+//      --verify exit 6 naming the changed layout, instead of re-checking
+//      only the shapes the manifest counted.
 //
 // Standalone driver (no gtest) because it exercises the CLI process
 // boundary — fork/exec, signals, exit codes — not library internals.
@@ -268,6 +271,29 @@ int main(int argc, char** argv) {
         "resumed-after-drain output byte-identical to serial");
   check(runCli(cli, {"--verify", drainJson}) == 0,
         "resumed-after-drain run passes --verify");
+
+  // --- Drill 5: an input that grew after the run -----------------------
+  {
+    const std::string grownInput = dir + "/grown.poly";
+    const std::string twoSquares =
+        "0 0\n60 0\n60 60\n0 60\n\n200 0\n260 0\n260 60\n200 60\n";
+    check(writeBytes(grownInput, twoSquares), "grown input: written");
+    const std::string grownJson = dir + "/grown.json";
+    check(runCli(cli, {grownInput, dir + "/grown.shots",
+                       "--metrics-json=" + grownJson}) == 0,
+          "grown input: 2-square run exits 0");
+    check(runCli(cli, {"--verify", grownJson}) == 0,
+          "grown input: passes --verify before the edit");
+    check(writeBytes(grownInput,
+                     twoSquares + "\n400 0\n460 0\n460 60\n400 60\n"),
+          "grown input: third square appended");
+    std::string log;
+    check(runCli(cli, {"--verify", grownJson}, &log) == 6,
+          "grown input: --verify exits 6");
+    check(log.find("the input layout has changed since the run") !=
+              std::string::npos,
+          "grown input: diagnostic names the changed layout");
+  }
 
   if (g_failures > 0) {
     std::fprintf(stderr, "%d verify drill check(s) failed\n", g_failures);

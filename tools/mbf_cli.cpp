@@ -46,10 +46,11 @@
 //   --fsync=none|each            journal durability (default none:
 //                                survives process death; each: survives
 //                                power loss)
-//   --isolate                    supervised multi-process mode: units
-//                                are sharded across mbf_cli worker
-//                                subprocesses; crashes/hangs cost one
-//                                degraded unit, never the run
+//   --isolate                    supervised multi-process mode: the
+//                                units the journal and cell cache do
+//                                not supply are sharded across mbf_cli
+//                                worker subprocesses; crashes/hangs
+//                                cost one degraded unit, never the run
 //   --jobs=<n>                   worker processes for --isolate
 //   --worker-timeout-ms=<ms>     watchdog: SIGKILL workers that exceed
 //                                this wall clock (0 = none)
@@ -73,14 +74,16 @@
 //                                --resume (cell-level CellRecord frames:
 //                                a resumed run replays completed cells
 //                                and fractures only the missing ones)
-//                                and with --isolate (unique cells are
-//                                sharded across worker processes; the
-//                                parent instantiates)
+//                                and with --isolate (the missing unique
+//                                cells are sharded across worker
+//                                processes; the parent instantiates)
 //   --cell-cache=<dir>           persistent content-addressed cell
 //                                cache: cells keyed by SHA-256 over
 //                                geometry + fracture parameters are
 //                                reused across runs; a warm run
-//                                fractures only misses
+//                                fractures only misses. This process
+//                                alone reads and writes it, --isolate
+//                                included: workers get only the misses
 //   --cell-cache-quota-mb=<n>    soft size cap on the cell cache:
 //                                after each store, least-recently-
 //                                modified entries are evicted until
@@ -114,7 +117,9 @@
 // Hidden worker plumbing (spawned by --isolate, not for direct use):
 //   --worker --cell-range=a:b    replan the input and fracture only plan
 //                                units [a, b), journaling CellRecords;
-//                                requires --journal
+//                                requires --journal. The sealed journal
+//                                is a worker's only product: it writes
+//                                no .shots, no manifest and no cache
 //   --degrade-only               fallback-only re-fracture of a
 //                                crash-isolated culprit unit
 //   --trace-raw=<path>           record trace spans and dump them as a
@@ -123,7 +128,8 @@
 //
 // Input: flat .poly ring list (blank-line separated) or a .gds file
 // (BOUNDARY elements on one layer/datatype), read by planInputFile, the
-// front end --verify shares; rings nested in another ring are holes.
+// front end --verify shares; a ring inside an odd number of rings is a
+// hole of the innermost one, and two coincident rings are refused.
 // Output: one "x0 y0 x1 y1" shot per line, with '#' comments separating
 // shapes.
 //
@@ -527,9 +533,11 @@ int main(int argc, char** argv) {
     std::cerr << "--isolate and --worker are mutually exclusive\n";
     return usage();
   }
-  if ((cellRangeBegin >= 0 || config.fallbackOnly) && !workerMode) {
-    std::cerr << "--cell-range/--degrade-only are worker-mode plumbing "
-                 "(spawned by --isolate)\n";
+  if ((cellRangeBegin >= 0 || config.fallbackOnly ||
+       !traceRawPath.empty()) &&
+      !workerMode) {
+    std::cerr << "--cell-range/--degrade-only/--trace-raw are worker-mode "
+                 "plumbing (spawned by --isolate)\n";
     return usage();
   }
   const bool gdsInput = isGdsPath(inputPath);
@@ -631,23 +639,15 @@ int main(int argc, char** argv) {
   runOptions.journalPath = journalPath;
   runOptions.resume = resume;
   runOptions.fsync = fsyncPolicy;
-  if (workerMode) {
-    runOptions.cellBegin = cellRangeBegin;
-    runOptions.cellEnd = cellRangeEnd;
-  }
+  runOptions.cellBegin = cellRangeBegin;
+  runOptions.cellEnd = cellRangeEnd;
 
-  HierarchicalResult run;
-  RunCounters counters;
-  const bool haveCounters = workerMode || isolate || !journalPath.empty();
-  std::vector<int> isolatedShapes;
-  std::string abortCause;
-  Status runStatus;
   if (isolate) {
-    // Supervised mode: this parent never fractures; it shards the plan's
-    // missing units across worker processes, watches, retries, bisects,
-    // harvests their journals, and instantiates. Workers replan the
-    // identical input (the same --top-cell pins auto-detection) and own
-    // all cell-cache I/O.
+    // Supervised mode: this parent replays the journal and looks up the
+    // cache itself, then shards only the missing units across worker
+    // processes, watches, retries, bisects, harvests their journals,
+    // stores and instantiates. Workers replan the identical input (the
+    // same --top-cell pins auto-detection).
     SupervisorConfig sup;
     sup.cliPath = selfExePath(argv[0]);
     sup.inputPath = inputPath;
@@ -658,48 +658,59 @@ int main(int argc, char** argv) {
       sup.workerArgs.push_back("--top-cell=" +
                                (hier ? plan.topStruct : topCell));
     }
-    if (!cellCacheDir.empty()) {
-      sup.workerArgs.push_back("--cell-cache=" + cellCacheDir);
-      if (cellCacheQuotaMb > 0) {
-        sup.workerArgs.push_back("--cell-cache-quota-mb=" +
-                                 std::to_string(cellCacheQuotaMb));
-      }
-    }
     sup.jobs = jobs;
     sup.workerTimeoutMs = workerTimeoutMs;
     sup.maxRetries = retries;
     sup.backoffBaseMs = backoffMs;
     sup.verbose = report;
-    sup.collectTraceSpans = !traceJsonPath.empty();
-    std::vector<int> isolatedCells;
-    runStatus = executePlanSupervised(plan, config, runOptions, sup, run,
-                                      counters, abortCause, isolatedCells);
-    if (!abortCause.empty()) {
-      // ENOSPC-style abort: every unjournaled shape carries a degraded
-      // record naming the cause; the harvested part still ships, the
-      // run exits 5 and the manifest is stamped "aborted".
-      std::cerr << "supervisor: run aborted: " << abortCause << "\n";
+    runOptions.isolate = std::move(sup);
+  }
+
+  HierarchicalResult run;
+  RunCounters counters;
+  const Status runStatus =
+      executePlan(plan, config, runOptions, run, &counters);
+  if (workerMode) {
+    // A worker's only product is its sealed journal, which the
+    // supervisor harvests: no .shots, no manifest. Workers stay strict
+    // about the journal, and report a graceful drain as exit 5.
+    if (!runStatus.ok()) {
+      std::cerr << (hier ? "hier: " : "journal: ") << runStatus.str()
+                << "\n";
+      return 3;
     }
-    if (hier && !isolatedCells.empty()) {
-      std::cerr << "hier: crash-isolated plan cell(s):";
-      for (const int c : isolatedCells) std::cerr << " " << c;
-      std::cerr << "\n";
-    } else if (!hier) {
-      isolatedShapes = isolatedCells;  // flat plan cell i is shape i
+    if (!traceRawPath.empty()) {
+      const Status st =
+          writeSpanFile(traceRawPath, TraceRecorder::instance().snapshot());
+      if (!st.ok()) {
+        std::cerr << st.str() << "\n";
+        return 2;
+      }
     }
-    for (TraceSpan& span : run.workerSpans) {
-      TraceRecorder::instance().addForeign(std::move(span));
-    }
-  } else {
-    runStatus = executePlan(plan, config, runOptions, run, &counters);
+    return interruptRequested() ? 5 : 0;
+  }
+  const bool haveCounters = isolate || !journalPath.empty();
+  const std::string& abortCause = run.abortCause;
+  if (!abortCause.empty()) {
+    // ENOSPC-style abort: every unjournaled shape carries a degraded
+    // record naming the cause; the harvested part still ships, the run
+    // exits 5 and the manifest is stamped "aborted".
+    std::cerr << "supervisor: run aborted: " << abortCause << "\n";
+  }
+  std::vector<int> isolatedShapes;
+  if (hier && !run.isolatedCells.empty()) {
+    std::cerr << "hier: crash-isolated plan cell(s):";
+    for (const int c : run.isolatedCells) std::cerr << " " << c;
+    std::cerr << "\n";
+  } else if (!hier) {
+    isolatedShapes = run.isolatedCells;  // flat plan cell i is shape i
   }
   if (!runStatus.ok()) {
-    if (counters.journalDowngraded && !workerMode) {
+    if (counters.journalDowngraded) {
       // Degrade-don't-die: the run completed in memory; ship the shots
       // and drop the (unsealed) journal artifact. The exit ladder
       // reports 2 — an artifact the run was asked for is missing — not
-      // 3. Workers stay strict: their journal IS the product the
-      // supervisor harvests.
+      // 3.
       std::cerr << "journal: append failed mid-run; completing "
                    "unjournaled: " << runStatus.str() << "\n";
     } else {
@@ -797,7 +808,7 @@ int main(int argc, char** argv) {
                            !orderForWriter};
       }
       return auditShotSections(shapes, config.params, sections, expectations,
-                               config.threads, config.shapeIndexBase);
+                               config.threads);
     };
 
     AuditReport audit = auditOnce();
@@ -813,27 +824,25 @@ int main(int argc, char** argv) {
       // still failing after that is an integrity failure (exit 6).
       std::vector<int> failing;
       for (const AuditFinding& f : audit.findings) {
-        const int local = f.shapeIndex - config.shapeIndexBase;
-        if (f.shapeIndex < 0 || local < 0 ||
-            static_cast<std::size_t>(local) >= shapes.size()) {
+        if (f.shapeIndex < 0 ||
+            static_cast<std::size_t>(f.shapeIndex) >= shapes.size()) {
           selfcheckFailed = true;  // file-level finding: nothing to repair
           continue;
         }
-        if (std::find(failing.begin(), failing.end(), local) ==
+        if (std::find(failing.begin(), failing.end(), f.shapeIndex) ==
             failing.end()) {
-          failing.push_back(local);
+          failing.push_back(f.shapeIndex);
         }
       }
-      for (const int local : failing) {
-        const auto s = static_cast<std::size_t>(local);
+      for (const int index : failing) {
+        const auto s = static_cast<std::size_t>(index);
         ShapeOutcome outcome = fractureShapeGuarded(
-            shapes[s], config.params, config.method,
-            config.shapeIndexBase + local, /*allowDegradation=*/true,
-            nullptr, /*fallbackOnly=*/true);
+            shapes[s], config.params, config.method, index,
+            /*allowDegradation=*/true, nullptr, /*fallbackOnly=*/true);
         result.solutions[s] = std::move(outcome.solution);
         result.reports[s] = {std::move(outcome.status), outcome.degraded,
                              outcome.interrupted};
-        repairedShapes.push_back(config.shapeIndexBase + local);
+        repairedShapes.push_back(index);
       }
       if (!failing.empty()) {
         // Totals follow the repaired solutions; the refiner stage
@@ -864,8 +873,7 @@ int main(int argc, char** argv) {
       if (!rep.status.ok()) {
         status += " (" + std::string(toString(rep.status.code())) + ")";
       }
-      table.addRow({std::to_string(config.shapeIndexBase +
-                                   static_cast<int>(i)),
+      table.addRow({std::to_string(i),
                     Table::fmt(std::int64_t(shapes[i].rings.size())),
                     Table::fmt(sol.shotCount()),
                     Table::fmt(sol.failingPixels()),
@@ -879,8 +887,7 @@ int main(int argc, char** argv) {
       std::cout << "degraded shapes (" << result.degradedShapes << "):\n";
       for (std::size_t i = 0; i < result.reports.size(); ++i) {
         if (result.reports[i].degraded) {
-          std::cout << "  shape "
-                    << (config.shapeIndexBase + static_cast<int>(i)) << ": "
+          std::cout << "  shape " << i << ": "
                     << result.reports[i].status.str() << "\n";
         }
       }
@@ -970,17 +977,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Worker span dump first (supervised runs), chrome JSON second: a
-  // worker never gets --trace-json, a parent never gets --trace-raw.
-  // Both precede the manifest so it can record their hashes.
-  if (!traceRawPath.empty()) {
-    const Status st =
-        writeSpanFile(traceRawPath, TraceRecorder::instance().snapshot());
-    if (!st.ok()) {
-      std::cerr << st.str() << "\n";
-      auxWriteFailed = true;
-    }
-  }
+  // Precedes the manifest so it can record the trace's hash.
   if (!traceJsonPath.empty()) {
     const Status st =
         writeTraceJson(traceJsonPath, TraceRecorder::instance().snapshot());
